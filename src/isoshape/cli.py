@@ -24,7 +24,8 @@ Defaults: d=2, p=2, alpha=1, gamma=0.01, n=128, seed=0, projection mode
 
 Exit codes: 0 success, 1 check violation, 2 usage or configuration
 error, 3 numerical failure during a run.  ISOSHAPE_THREADS caps sweep
-workers.  CSV output uses '.' decimal and 17 significant digits so
+workers; a value that is not an integer is a configuration error
+(exit 2).  CSV output uses '.' decimal and 17 significant digits so
 reruns of an identical RunConfig reproduce files byte for byte; SVG is
 emitted directly as polylines with no plotting dependency.
 """
@@ -45,10 +46,10 @@ from .errors import ConfigError, IsoshapeError, ValidationError
 from .fuglede import deficit_report, report_to_csv
 from .geometry import (
     EnergyParams,
+    config_to_dict,
     dilate,
     make_ball,
     make_grid,
-    save_configuration,
     unit_ball_volume,
 )
 from .errors import CriticalExponentError
@@ -201,8 +202,7 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError("key 'lam': penalty mode requires lam > 0")
     try:
         opts = OptimizerOptions(max_iter=cfg["max_iter"], g_tol=cfg["g_tol"],
-                                mode=cfg["mode"], lam=cfg["lam"],
-                                seed=cfg["seed"])
+                                mode=cfg["mode"], lam=cfg["lam"])
     except ValidationError as exc:
         raise ConfigError(f"optimizer options: {exc}") from None
     return RunConfig(command=ns.command, params=params, n=int(cfg["n"]),
@@ -219,11 +219,6 @@ def _write(outdir: Path, name: str, text: str) -> Path:
     path = outdir / name
     path.write_text(text)
     return path
-
-
-def _artifact_path(outdir: Path, name: str) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / name
 
 
 def _json(obj) -> str:
@@ -301,8 +296,8 @@ def _cmd_minimize(cfg: RunConfig, outdir: Path) -> int:
     grid = make_grid(cfg.params.d, cfg.n)
     init = build_initial_config(cfg.params, grid, cfg.opts.init)
     config, record = minimize(init, cfg.params, cfg.opts)
-    shape_path = _artifact_path(outdir, "shape.json")
-    save_configuration(shape_path, config)
+    shape_path = _write(outdir, "shape.json",
+                        json.dumps(config_to_dict(config)) + "\n")
     bd = total_energy(config, replace(cfg.params, lam=0.0))
     doc = {"params": _params_dict(cfg.params, cfg.n),
            "record": {"energy": record.energy,
@@ -419,6 +414,9 @@ def main(argv=None) -> int:
         return 0
     try:
         return run(cfg)
+    except ConfigError as exc:
+        print(f"isoshape: config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"isoshape: cannot write artifacts: {exc}", file=sys.stderr)
         return 2

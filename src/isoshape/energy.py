@@ -27,6 +27,11 @@ smoothing bias of the kernel is exactly homogeneous of order d - alpha at
 short range, while for d - alpha > 2 the long-range h^2 correction
 dominates.  |extrapolation correction| is reported as the error estimate.
 
+Every Riesz value, field, potential and deficit in the package is a
+pair sum over the node cloud built by ``VolumeQuadrature.cloud``, taken
+at ``VolumeQuadrature.levels`` and combined by ``richardson``, the one
+h -> 0 step.  The perimeter and its gradient share ``_perimeter_terms``.
+
 The default h0 is half the median inter-node spacing, where the spacing
 at a node is the total distance to its adjacent nodes across the grid
 directions (radial plus angular extents of the local quadrature cell).
@@ -76,11 +81,6 @@ def _gauss01(n):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def extrapolation_exponent(d: int, alpha: float) -> float:
-    """Order of the leading h-correction of the desingularized sum."""
-    return min(2.0, d - alpha)
-
-
 # ----------------------------------------------------------------------
 # volume quadrature
 # ----------------------------------------------------------------------
@@ -127,6 +127,17 @@ class VolumeQuadrature:
             spacings = np.concatenate([_cell_spacings(sh, s) for sh in shapes])
             h = 0.5 * float(np.median(spacings))
         return cls(s=s, v=v, h=h)
+
+    @property
+    def levels(self):
+        """The kernel lengths (h, h/2) that every pair sum is taken at."""
+        return (self.h, self.h / 2.0)
+
+    def cloud(self, shapes):
+        """Volume nodes and weights (X, W) of several components, concatenated."""
+        clouds = [self.nodes(s) for s in shapes]
+        return (np.concatenate([c[0] for c in clouds]),
+                np.concatenate([c[1] for c in clouds]))
 
     def nodes(self, shape: StarShape):
         """Volume nodes and weights (X, W) for one component."""
@@ -221,17 +232,20 @@ def pair_potential_field(X, W, alpha: float, h_levels):
     return [(math.fsum(partials[t]),) + out[t] for t in range(len(h_levels))]
 
 
-def _extrapolate(S_h: float, S_half: float, q: float):
-    corr = (S_half - S_h) / (2.0 ** q - 1.0)
-    return S_half + corr, abs(corr)
+def richardson(S_h, S_half, d: int, alpha: float):
+    """(value, |correction|) of the h -> 0 step from sums at (h, h/2)."""
+    q = min(2.0, d - alpha)
+    a, b = 2.0 ** q / (2.0 ** q - 1.0), 1.0 / (2.0 ** q - 1.0)
+    return a * S_half - b * S_h, abs((S_half - S_h) / (2.0 ** q - 1.0))
 
 
 # ----------------------------------------------------------------------
 # energy terms
 # ----------------------------------------------------------------------
 
-def weighted_perimeter(shape: StarShape, params: EnergyParams) -> float:
-    """Density perimeter P_a = int a(c + r theta) r^{d-2} sqrt(r^2 + |grad r|^2)."""
+def _perimeter_terms(shape: StarShape, params: EnergyParams):
+    """Boundary points y, density a(y), tangential components of grad r
+    and slant sqrt(r^2 + |grad r|^2) at the grid nodes."""
     g = shape.grid
     if g.d != params.d:
         raise ValidationError("shape dimension does not match params.d")
@@ -243,7 +257,36 @@ def weighted_perimeter(shape: StarShape, params: EnergyParams) -> float:
         dens = np.ones_like(r)
     else:
         dens = np.linalg.norm(y, axis=1) ** params.p
-    return float(g.weights @ (dens * r ** (g.d - 2) * slant))
+    return y, dens, comps, slant
+
+
+def weighted_perimeter(shape: StarShape, params: EnergyParams) -> float:
+    """Density perimeter P_a = int a(c + r theta) r^{d-2} sqrt(r^2 + |grad r|^2)."""
+    _, dens, _, slant = _perimeter_terms(shape, params)
+    g = shape.grid
+    return float(g.weights @ (dens * shape.radii ** (g.d - 2) * slant))
+
+
+def perimeter_gradient(shape: StarShape, params: EnergyParams):
+    """Exact (dP_a/dr, dP_a/dc) of the weighted_perimeter quadrature sum,
+    through the adjoint tangential stencils."""
+    y, dens, comps, slant = _perimeter_terms(shape, params)
+    g, r = shape.grid, shape.radii
+    d, w = g.d, g.weights
+    if params.p == 0.0:
+        dd_dr = np.zeros_like(r)
+        dd_dc_fac = np.zeros_like(r)
+    else:
+        ny = np.linalg.norm(y, axis=1)
+        dd_dc_fac = params.p * ny ** (params.p - 2.0)
+        dd_dr = dd_dc_fac * np.einsum("ij,ij->i", y, g.nodes)
+    base = w * dens * r ** (d - 2)
+    gr = w * dd_dr * r ** (d - 2) * slant
+    gr += w * dens * (d - 2) * r ** (d - 3) * slant
+    gr += base * r / slant
+    gr += g.grad_components_T([base * c / slant for c in comps])
+    gc = ((w * r ** (d - 2) * slant * dd_dc_fac)[:, None] * y).sum(axis=0)
+    return gr, gc
 
 
 @dataclass(frozen=True)
@@ -262,9 +305,8 @@ def riesz_self(shape: StarShape, params: EnergyParams, vq: VolumeQuadrature,
     """Riesz self-energy V(Omega) = int_Omega int_Omega |x-y|^{-alpha}."""
     _check_alpha(params)
     X, W = vq.nodes(shape)
-    q = extrapolation_exponent(params.d, params.alpha)
-    S_h, S_half = pair_sum(X, W, X, W, params.alpha, (vq.h, vq.h / 2.0))
-    value, err = _extrapolate(S_h, S_half, q)
+    value, err = richardson(*pair_sum(X, W, X, W, params.alpha, vq.levels),
+                            params.d, params.alpha)
     value = max(value, 0.0)
     if rtol is not None and err > rtol * max(abs(value), 1e-300):
         raise ExtrapolationUnstableError(
@@ -290,9 +332,8 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
     XB, WB = vq.nodes(B)
     if XB.tobytes() < XA.tobytes():
         XA, WA, XB, WB = XB, WB, XA, WA
-    q = extrapolation_exponent(params.d, params.alpha)
-    S_h, S_half = pair_sum(XA, WA, XB, WB, params.alpha, (vq.h, vq.h / 2.0))
-    value, _ = _extrapolate(S_h, S_half, q)
+    value, _ = richardson(*pair_sum(XA, WA, XB, WB, params.alpha, vq.levels),
+                          params.d, params.alpha)
     return max(value, 0.0)
 
 
@@ -302,16 +343,10 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
     if vq is None:
         vq = VolumeQuadrature.build(obj)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    q = extrapolation_exponent(params.d, params.alpha)
-    acc_h = np.zeros(pts.shape[0])
-    acc_half = np.zeros(pts.shape[0])
-    e = -params.alpha / 2.0
-    for comp in _components(obj):
-        X, W = vq.nodes(comp)
-        d2 = ((pts[:, None, :] - X[None, :, :]) ** 2).sum(-1)
-        acc_h += (d2 + vq.h ** 2) ** e @ W
-        acc_half += (d2 + (vq.h / 2.0) ** 2) ** e @ W
-    vals = acc_half + (acc_half - acc_h) / (2.0 ** q - 1.0)
+    X, W = vq.cloud(_components(obj))
+    sums = np.array([pair_sum(pt[None, :], np.ones(1), X, W, params.alpha,
+                              vq.levels) for pt in pts]).reshape(-1, 2)
+    vals, _ = richardson(sums[:, 0], sums[:, 1], params.d, params.alpha)
     if np.ndim(x) == 1:
         return float(vals[0])
     return vals

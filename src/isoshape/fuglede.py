@@ -48,8 +48,8 @@ from numpy.polynomial.legendre import Legendre
 from .energy import (
     RieszResult,
     VolumeQuadrature,
-    extrapolation_exponent,
     pair_sum,
+    richardson,
     weighted_perimeter,
 )
 from .errors import (
@@ -251,17 +251,12 @@ def riesz_deficit(pert: Perturbation, R: float | None = None,
     r_b = (volume(shape) / unit_ball_volume(g.d)) ** (1.0 / g.d)
     ball = make_ball(r_b, np.zeros(g.d), g)
     vq = VolumeQuadrature.build(shape)
-    levels = (vq.h, vq.h / 2.0)
     xs, ws = vq.nodes(shape)
     xb, wb = vq.nodes(ball)
-    s_shape = pair_sum(xs, ws, xs, ws, alpha, levels)
-    s_ball = pair_sum(xb, wb, xb, wb, alpha, levels)
-    d1 = s_ball[0] - s_shape[0]
-    d2 = s_ball[1] - s_shape[1]
-    q = extrapolation_exponent(g.d, alpha)
-    corr = (d2 - d1) / (2.0 ** q - 1.0)
-    value = d2 + corr
-    error = abs(corr)
+    s_shape = pair_sum(xs, ws, xs, ws, alpha, vq.levels)
+    s_ball = pair_sum(xb, wb, xb, wb, alpha, vq.levels)
+    value, error = richardson(s_ball[0] - s_shape[0], s_ball[1] - s_shape[1],
+                              g.d, alpha)
     if rtol is not None and error > rtol * max(abs(value), 1e-300):
         raise ExtrapolationUnstableError(
             f"riesz deficit extrapolation unstable: estimate {error:.3e} "

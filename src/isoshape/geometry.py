@@ -345,11 +345,6 @@ def dilate(obj, t: float):
                      radii=obj.radii * t, r_min=obj.r_min)
 
 
-def translate(shape: StarShape, v) -> StarShape:
-    return StarShape(grid=shape.grid, center=shape.center + np.asarray(v, dtype=float),
-                     radii=shape.radii, r_min=shape.r_min)
-
-
 # ----------------------------------------------------------------------
 # continuous interpretation (shared by the raster / Monte Carlo oracles)
 # ----------------------------------------------------------------------

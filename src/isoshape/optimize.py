@@ -21,7 +21,10 @@ x -> t x with t = volume^{-1/d}, exact for the homogeneous density
 |x|^p) or by the penalty lambda * | |Omega| - 1 | for multi-component
 runs, with one final dilation.  Descent directions are preconditioned
 by the H^1 metric (M + D^T M D)^{-1} on each radial block, which evens
-out the k^2 stiffness of high angular modes.
+out the k^2 stiffness of high angular modes.  The operator is assembled
+from the grid's own tangential stencils (``SphereGrid.grad_components``
+applied to the columns of the identity), so u^T (M + D^T M D) u is
+the H^1 norm that ``asphericity`` measures.
 
 The gamma <-> m scaling maps and the energy identity they satisfy,
 
@@ -44,14 +47,17 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .energy import (
     VolumeQuadrature,
-    extrapolation_exponent,
     pair_potential_field,
     pair_sum,
+    perimeter_gradient,
+    richardson,
     total_energy,
     weighted_perimeter,
 )
 from .errors import (
+    ConfigError,
     CriticalExponentError,
+    IsoshapeError,
     OverlapError,
     ValidationError,
 )
@@ -100,7 +106,6 @@ class OptimizerOptions:
     shrink: float = 0.5
     mode: str = "projection"
     lam: float = 1e4
-    seed: int = 0
     init: tuple = ("ball",)
 
     def __post_init__(self):
@@ -110,6 +115,10 @@ class OptimizerOptions:
             raise ValidationError("g_tol must be positive")
         if not self.s0 > 0:
             raise ValidationError("s0 must be positive")
+        if not 0.0 < self.c1 < 1.0:
+            raise ValidationError("c1 must lie in (0, 1)")
+        if not 0.0 < self.shrink < 1.0:
+            raise ValidationError("shrink must lie in (0, 1)")
         if self.mode not in ("projection", "penalty"):
             raise ValidationError(f"unknown constraint mode {self.mode!r}")
 
@@ -191,55 +200,22 @@ def mass_to_gamma(m: float, params: EnergyParams) -> float:
 # exact discrete gradient
 # ----------------------------------------------------------------------
 
-def _perimeter_gradient(shape: StarShape, params: EnergyParams):
-    g = shape.grid
-    d = g.d
-    r = shape.radii
-    w = g.weights
-    comps = g.grad_components(r)
-    slant = np.sqrt(r * r + sum(c * c for c in comps))
-    y = shape.center[None, :] + r[:, None] * g.nodes
-    if params.p == 0.0:
-        dens = np.ones_like(r)
-        dd_dr = np.zeros_like(r)
-        dd_dc_fac = np.zeros_like(r)
-    else:
-        ny = np.linalg.norm(y, axis=1)
-        dens = ny ** params.p
-        fac = params.p * ny ** (params.p - 2.0)
-        dd_dr = fac * np.einsum("ij,ij->i", y, g.nodes)
-        dd_dc_fac = fac
-    base = w * dens * r ** (d - 2)
-    gr = w * dd_dr * r ** (d - 2) * slant
-    gr += w * dens * (d - 2) * r ** (d - 3) * slant
-    gr += base * r / slant
-    gr += g.grad_components_T([base * c / slant for c in comps])
-    gc = ((w * r ** (d - 2) * slant * dd_dc_fac)[:, None] * y).sum(axis=0)
-    return gr, gc
-
-
 def _riesz_gradient(config: Configuration, params: EnergyParams,
                     vq: VolumeQuadrature):
     comps = config.components
-    clouds = [vq.nodes(s) for s in comps]
-    X = np.concatenate([c[0] for c in clouds])
-    W = np.concatenate([c[1] for c in clouds])
-    q = extrapolation_exponent(params.d, params.alpha)
-    (S1, phi1, G1), (S2, phi2, G2) = pair_potential_field(
-        X, W, params.alpha, (vq.h, vq.h / 2.0))
-    a = 2.0 ** q / (2.0 ** q - 1.0)
-    b = 1.0 / (2.0 ** q - 1.0)
-    value = a * S2 - b * S1
-    phi = a * phi2 - b * phi1
-    G = a * G2 - b * G1
+    X, W = vq.cloud(comps)
+    (_, phi1, G1), (_, phi2, G2) = pair_potential_field(
+        X, W, params.alpha, vq.levels)
+    phi, _ = richardson(phi1, phi2, params.d, params.alpha)
+    G, _ = richardson(G1, G2, params.d, params.alpha)
     out = []
     i0 = 0
-    for shape, (Xc, Wc) in zip(comps, clouds):
+    ns = vq.s.size
+    for shape in comps:
         g = shape.grid
         d = g.d
-        n_nodes = Wc.size
-        ns = vq.s.size
-        Wm = Wc.reshape(-1, ns)
+        n_nodes = shape.radii.size * ns
+        Wm = W[i0:i0 + n_nodes].reshape(-1, ns)
         pm = phi[i0:i0 + n_nodes].reshape(-1, ns)
         Gm = G[i0:i0 + n_nodes].reshape(-1, ns, d)
         proj = np.einsum("jkt,jt->jk", Gm, g.nodes)
@@ -248,7 +224,7 @@ def _riesz_gradient(config: Configuration, params: EnergyParams,
         gc = 2.0 * (Wm[:, :, None] * Gm).sum(axis=(0, 1))
         out.append((gr, gc))
         i0 += n_nodes
-    return value, out
+    return out
 
 
 def shape_gradient(config, params: EnergyParams, vq: VolumeQuadrature):
@@ -259,9 +235,9 @@ def shape_gradient(config, params: EnergyParams, vq: VolumeQuadrature):
     """
     if isinstance(config, StarShape):
         config = Configuration((config,))
-    grads = [_perimeter_gradient(s, params) for s in config.components]
+    grads = [perimeter_gradient(s, params) for s in config.components]
     if params.gamma != 0.0:
-        _, rg = _riesz_gradient(config, params, vq)
+        rg = _riesz_gradient(config, params, vq)
         grads = [(gp + params.gamma * gr, cp + params.gamma * cr)
                  for (gp, cp), (gr, cr) in zip(grads, rg)]
     return grads
@@ -276,25 +252,18 @@ def _volume_gradient(shape: StarShape):
 # H^1 preconditioner
 # ----------------------------------------------------------------------
 
-def _periodic_d1_matrix(n: int, h: float) -> np.ndarray:
-    D = np.zeros((n, n))
-    idx = np.arange(n)
-    for off, coef in ((1, 8.0), (-1, -8.0), (2, -1.0), (-2, 1.0)):
-        D[idx, (idx + off) % n] = coef / (12.0 * h)
-    return D
-
-
 def _h1_operator(grid: SphereGrid):
-    M = np.diag(grid.weights)
-    if grid.d == 2:
-        D = _periodic_d1_matrix(grid.n, 2.0 * math.pi / grid.n)
-        return M + D.T @ M @ D
-    n_az = grid.azimuth.size
-    Dp = np.kron(grid.dpolar, np.eye(n_az))
-    Da = np.kron(np.eye(grid.polar.size),
-                 _periodic_d1_matrix(n_az, 2.0 * math.pi / n_az))
-    Da /= np.sin(np.repeat(grid.polar, n_az))[:, None]
-    return M + Dp.T @ M @ Dp + Da.T @ M @ Da
+    """Dense M + sum_k D_k^T M D_k, with D_k the matrices of the grid's
+    tangential components, read off from the columns of the identity."""
+    n = grid.n_nodes
+    w = grid.weights
+    D = np.empty((grid.d - 1, n, n))
+    for j, e in enumerate(np.eye(n)):
+        D[:, :, j] = grid.grad_components(e)
+    H = np.diag(w)
+    for Dk in D:
+        H += (Dk.T * w) @ Dk
+    return H
 
 
 class _Preconditioner:
@@ -458,14 +427,10 @@ def _objective(config: Configuration, params: EnergyParams,
     per = math.fsum(weighted_perimeter(s, params) for s in config.components)
     val = per
     if params.gamma != 0.0:
-        clouds = [vq.nodes(s) for s in config.components]
-        X = np.concatenate([c[0] for c in clouds])
-        W = np.concatenate([c[1] for c in clouds])
-        q = extrapolation_exponent(params.d, params.alpha)
-        S1, S2 = pair_sum(X, W, X, W, params.alpha, (vq.h, vq.h / 2.0))
-        a = 2.0 ** q / (2.0 ** q - 1.0)
-        b = 1.0 / (2.0 ** q - 1.0)
-        val += params.gamma * (a * S2 - b * S1)
+        X, W = vq.cloud(config.components)
+        riesz, _ = richardson(*pair_sum(X, W, X, W, params.alpha, vq.levels),
+                              params.d, params.alpha)
+        val += params.gamma * riesz
     if lam:
         val += lam * math.hypot(total_volume(config) - 1.0, EPS_LAM)
     return val
@@ -493,7 +458,6 @@ def minimize(init: Configuration, params: EnergyParams,
 
     config = _project_volume(init) if projection else init
     f = _objective(config, params, vq, lam)
-    step = opts.s0
     converged = False
     iterations = 0
 
@@ -587,7 +551,11 @@ def minimize(init: Configuration, params: EnergyParams,
 def _worker_count(n_jobs: int) -> int:
     env = os.environ.get("ISOSHAPE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"ISOSHAPE_THREADS={env!r}: expected an "
+                              "integer worker count") from None
     return max(1, min(n_jobs, os.cpu_count() or 1))
 
 
@@ -597,7 +565,8 @@ def sweep_gamma(gamma_list, params: EnergyParams, grid: SphereGrid,
 
     Fresh starts run in parallel (ISOSHAPE_THREADS workers); the warm
     start pass chains the previous minimizer through increasing gamma.
-    Individual failures are recorded, never raised.
+    A run that fails with an IsoshapeError becomes an inf row (fresh
+    pass) or is skipped (warm pass); any other exception propagates.
     """
     gammas = [float(g) for g in gamma_list]
     if not gammas or any(g <= 0 for g in gammas) or sorted(gammas) != gammas:
@@ -608,7 +577,7 @@ def sweep_gamma(gamma_list, params: EnergyParams, grid: SphereGrid,
         try:
             init = build_initial_config(p, grid, opts.init)
             return minimize(init, p, opts)
-        except Exception:
+        except IsoshapeError:
             return None, SweepRecord(gamma, params.p, params.alpha, params.d,
                                      math.inf, math.inf, math.inf, math.nan,
                                      0, math.inf, 0, False)
@@ -623,7 +592,7 @@ def sweep_gamma(gamma_list, params: EnergyParams, grid: SphereGrid,
         if prev_config is not None:
             try:
                 warm_config, warm_record = minimize(prev_config, p, opts)
-            except Exception:
+            except IsoshapeError:
                 warm_config, warm_record = None, None
             if warm_record is not None and _better(warm_record, record):
                 config, record = warm_config, warm_record

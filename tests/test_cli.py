@@ -189,6 +189,14 @@ def test_exit_code_mapping(tmp_path, monkeypatch):
     assert main(["verify", "--out", str(tmp_path)]) == 3
 
 
+def test_bad_thread_setting_is_config_error(tmp_path, monkeypatch, capsys):
+    # fails while starting the worker pool, before any descent runs
+    monkeypatch.setenv("ISOSHAPE_THREADS", "abc")
+    assert main(["sweep", "--n", "16", "--gammas", "0.1,1",
+                 "--out", str(tmp_path)]) == 2
+    assert "ISOSHAPE_THREADS" in capsys.readouterr().err
+
+
 def _fake_records():
     gammas = np.logspace(-3, 2, 6)
     return [SweepRecord(gamma=float(g), p=2.0, alpha=1.0, d=2,

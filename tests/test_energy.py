@@ -201,6 +201,27 @@ def test_potential_matches_mc_at_boundary():
     assert abs(quad - est) <= 3 * se + 1e-3
 
 
+def test_potential_points_and_components():
+    rng = np.random.default_rng(11)
+    for d, n in ((2, 32), (3, 8)):
+        params = EnergyParams(d=d, p=2.0, alpha=1.0)
+        a = random_star(rng, n=n, d=d, amp=0.08, kmax=3)
+        c = np.zeros(d)
+        c[0] = 3.0
+        b = make_ball(0.7, c, a.grid)
+        cfg = Configuration((a, b))
+        vq = VolumeQuadrature.build(cfg)
+        pts = rng.standard_normal((4, d))
+        vals = potential(cfg, pts, params, vq)
+        assert vals.shape == (4,)
+        # an array of points gives the per-point values
+        for x, v in zip(pts, vals):
+            assert potential(cfg, x, params, vq) == v
+        # a configuration's potential is the sum over its components
+        parts = potential(a, pts, params, vq) + potential(b, pts, params, vq)
+        np.testing.assert_allclose(vals, parts, rtol=1e-12)
+
+
 def test_total_energy_breakdown_identities():
     params = EnergyParams(d=2, p=1.0, alpha=1.0, gamma=0.1, lam=10.0)
     r0 = math.pi ** -0.5

@@ -7,6 +7,7 @@ import pytest
 
 from isoshape.energy import VolumeQuadrature, total_energy
 from isoshape.errors import (
+    ConfigError,
     CriticalExponentError,
     OverlapError,
     ValidationError,
@@ -160,6 +161,11 @@ def test_optimizer_options_validation():
         OptimizerOptions(s0=-1.0)
     with pytest.raises(ValidationError):
         OptimizerOptions(mode="lagrange")
+    # shrink = 1 would never end a rejected line search
+    with pytest.raises(ValidationError):
+        OptimizerOptions(shrink=1.0)
+    with pytest.raises(ValidationError):
+        OptimizerOptions(c1=0.0)
 
 
 def test_minimize_ball_is_fixed_point():
@@ -246,6 +252,57 @@ def test_worker_count_env(monkeypatch):
     assert _worker_count(8) == 3
     monkeypatch.delenv("ISOSHAPE_THREADS")
     assert 1 <= _worker_count(8) <= 8
+    monkeypatch.setenv("ISOSHAPE_THREADS", "abc")
+    with pytest.raises(ConfigError, match="ISOSHAPE_THREADS"):
+        _worker_count(8)
+
+
+def test_sweep_gamma_catches_only_package_errors(monkeypatch):
+    import isoshape.optimize as opt
+    grid = make_grid(2, 16)
+    params = EnergyParams(d=2, p=2.0, alpha=1.0)
+
+    def typed_failure(init, p, opts):
+        raise ValidationError("stub failure")
+
+    monkeypatch.setattr(opt, "minimize", typed_failure)
+    rec, = sweep_gamma([0.1], params, grid)
+    assert rec.energy == math.inf and not rec.converged
+
+    def programming_error(init, p, opts):
+        raise TypeError("stub bug")
+
+    monkeypatch.setattr(opt, "minimize", programming_error)
+    with pytest.raises(TypeError):
+        sweep_gamma([0.1], params, grid)
+
+    # the warm pass: the fresh runs succeed, the warm one has a bug
+    calls = []
+
+    def warm_bug(init, p, opts):
+        calls.append(p.gamma)
+        if len(calls) > 2:
+            raise TypeError("stub bug")
+        return init, opt.SweepRecord(p.gamma, p.p, p.alpha, p.d, 1.0, 1.0,
+                                     0.0, 1.0, 1, 0.0, 1, True)
+
+    monkeypatch.setenv("ISOSHAPE_THREADS", "1")
+    monkeypatch.setattr(opt, "minimize", warm_bug)
+    with pytest.raises(TypeError):
+        sweep_gamma([0.1, 0.2], params, grid)
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (3, 8)])
+def test_h1_operator_is_the_asphericity_norm(d, n):
+    from isoshape.optimize import _h1_operator
+    grid = make_grid(d, n)
+    H = _h1_operator(grid)
+    w = grid.weights
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        u = rng.standard_normal(grid.n_nodes)
+        norm = float(w @ (u * u + sum(c * c for c in grid.grad_components(u))))
+        assert float(u @ H @ u) == pytest.approx(norm, rel=1e-12)
 
 
 def test_records_to_csv_format():
