@@ -40,8 +40,13 @@ pair sum stops tracking the smoothed integral.  h0 scales linearly under
 dilation of the configuration, which makes the discrete V exactly
 homogeneous: V(t Omega) = t^{2d-alpha} V(Omega) up to roundoff.
 
-All pair sums use a fixed block enumeration with compensated summation
-of the block partials, so results do not depend on thread count.
+All pair sums run over fixed row blocks whose size depends only on the
+array sizes, with compensated summation of the block partials, so results
+do not depend on thread count.  A self sum evaluates each pair once, on
+the upper block triangle, and counts the pairs off the diagonal blocks
+twice.  Squared distances come from ``cdist`` in one exact pass (never
+negative, no clamp), and every block reuses buffers allocated once per
+call.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import ExtrapolationUnstableError, OverlapError, ValidationError
 from .geometry import (
@@ -71,7 +77,8 @@ __all__ = [
     "penalized_energy",
 ]
 
-# Element budget for one temporary block of the pair matrix (~64 MB).
+# Element budget of each block buffer of the pair matrix (~64 MB per
+# buffer; a value sum holds two, a field three).
 _BLOCK_ELEMENTS = 1 << 23
 
 
@@ -178,58 +185,76 @@ def _cell_spacings(shape: StarShape, s: np.ndarray) -> np.ndarray:
 # blocked pair sums
 # ----------------------------------------------------------------------
 
-def _block_size(n_cols: int) -> int:
-    return int(min(max(_BLOCK_ELEMENTS // max(n_cols, 1), 128), 1 << 14))
+def _blocks(XA, XB, upper: bool, n_work: int):
+    """Row blocks of the pair matrix of XA against XB.
+
+    Yields (i0, i1, d2, work): d2 holds the squared distances of the rows
+    [i0, i1) of XA to the columns [c0, n) of XB, with c0 = i0 on the upper
+    block triangle (``upper``) and c0 = 0 otherwise; ``work`` is a list of
+    n_work scratch arrays of the same shape.  All of them are views into
+    buffers allocated once per call.  The row block is an eighth of the
+    rows, at least 64, within _BLOCK_ELEMENTS per buffer: it depends only
+    on the array sizes.
+    """
+    n_rows, n_cols = XA.shape[0], XB.shape[0]
+    step = max(1, min(max(64, -(-n_rows // 8)),
+                      _BLOCK_ELEMENTS // max(n_cols, 1)))
+    bufs = np.empty((1 + n_work, min(step, n_rows) * n_cols))
+    for i0 in range(0, n_rows, step):
+        i1 = min(i0 + step, n_rows)
+        c0 = i0 if upper else 0
+        shape = (i1 - i0, n_cols - c0)
+        d2, *work = [b[:shape[0] * shape[1]].reshape(shape) for b in bufs]
+        cdist(XA[i0:i1], XB[c0:], "sqeuclidean", out=d2)
+        yield i0, i1, d2, work
 
 
 def pair_sum(XA, WA, XB, WB, alpha: float, h_levels) -> list[float]:
     """sum_{a,b} WA_a WB_b (|XA_a - XB_b|^2 + h^2)^(-alpha/2) per h level.
 
-    Fixed row blocks over A with compensated summation of block partials:
-    the result is independent of thread count.
+    A self sum (XA is XB and WA is WB) covers the upper block triangle
+    only: the row block [i0, i1) meets the columns [i0, n) with weights
+    concat(W[i0:i1], 2 W[i1:]).  Block partials are summed with fsum in a
+    fixed order, so the result is independent of thread count.
     """
     e = -alpha / 2.0
-    nb2 = np.einsum("ij,ij->i", XB, XB)
-    na2 = np.einsum("ij,ij->i", XA, XA)
+    upper = XA is XB and WA is WB
     parts = [[] for _ in h_levels]
-    step = _block_size(XB.shape[0])
-    for i0 in range(0, XA.shape[0], step):
-        xa = XA[i0:i0 + step]
-        wa = WA[i0:i0 + step]
-        d2 = na2[i0:i0 + step, None] + nb2[None, :] - 2.0 * (xa @ XB.T)
-        np.maximum(d2, 0.0, out=d2)
+    for i0, i1, d2, (k,) in _blocks(XA, XB, upper, 1):
+        wb = np.concatenate((WB[i0:i1], 2.0 * WB[i1:])) if upper else WB
         for t, h in enumerate(h_levels):
-            parts[t].append(float(wa @ ((d2 + h * h) ** e @ WB)))
+            np.add(d2, h * h, out=k)
+            np.power(k, e, out=k)
+            parts[t].append(float(WA[i0:i1] @ (k @ wb)))
     return [math.fsum(p) for p in parts]
 
 
 def pair_potential_field(X, W, alpha: float, h_levels):
     """Per-node potential and field of the weighted cloud against itself.
 
-    Returns, for each h level, (S, phi, G) with
+    Returns, for each h level, (phi, G) with
         phi_a = sum_b W_b (|X_a-X_b|^2+h^2)^(-alpha/2),
-        G_a   = -alpha sum_b W_b (X_a-X_b) (|X_a-X_b|^2+h^2)^(-alpha/2-1),
-        S     = sum_a W_a phi_a.
+        G_a   = -alpha sum_b W_b (X_a-X_b) (|X_a-X_b|^2+h^2)^(-alpha/2-1).
+    Each pair of the upper block triangle is evaluated once and feeds both
+    of its nodes: the row block [i0, i1) against the columns [i0, n), and
+    the transposed part of the columns beyond the block, [i1, n).
     """
     e = -alpha / 2.0
     n, d = X.shape
-    n2 = np.einsum("ij,ij->i", X, X)
-    WX = W[:, None] * X
-    out = [(np.empty(n), np.empty((n, d))) for _ in h_levels]
-    partials = [[] for _ in h_levels]
-    step = _block_size(n)
-    for i0 in range(0, n, step):
-        xa = X[i0:i0 + step]
-        d2 = n2[i0:i0 + step, None] + n2[None, :] - 2.0 * (xa @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        for t, h in enumerate(h_levels):
-            k = (d2 + h * h) ** e
-            phi, G = out[t]
-            phi[i0:i0 + step] = k @ W
-            partials[t].append(float(W[i0:i0 + step] @ phi[i0:i0 + step]))
-            g = k / (d2 + h * h)
-            G[i0:i0 + step] = -alpha * ((g @ W)[:, None] * xa - g @ WX)
-    return [(math.fsum(partials[t]),) + out[t] for t in range(len(h_levels))]
+    # gm accumulates sum_b g_ab W_b and sum_b g_ab W_b X_b side by side
+    WM = np.column_stack((W, W[:, None] * X))
+    acc = [(np.zeros(n), np.zeros((n, d + 1))) for _ in h_levels]
+    for i0, i1, d2, (g, k) in _blocks(X, X, True, 2):
+        b = i1 - i0
+        for (phi, gm), h in zip(acc, h_levels):
+            np.add(d2, h * h, out=k)
+            np.power(k, e - 1.0, out=g)
+            np.multiply(g, k, out=k)
+            phi[i0:i1] += k @ W[i0:]
+            phi[i1:] += k[:, b:].T @ W[i0:i1]
+            gm[i0:i1] += g @ WM[i0:]
+            gm[i1:] += g[:, b:].T @ WM[i0:i1]
+    return [(phi, -alpha * (gm[:, :1] * X - gm[:, 1:])) for phi, gm in acc]
 
 
 def richardson(S_h, S_half, d: int, alpha: float):

@@ -1,6 +1,8 @@
 """Constrained minimization of E_gamma over star-shaped configurations.
 
 The optimizer is projected gradient descent with Armijo backtracking.
+A trial step must also lower the objective strictly: once c1 t g.d is
+below half an ulp of f, the Armijo bound rounds to f itself.
 Gradients are the exact derivatives of the discrete energy: the
 perimeter part differentiates the surface quadrature sum through the
 finite-difference tangential gradient operators (using their exact
@@ -204,7 +206,7 @@ def _riesz_gradient(config: Configuration, params: EnergyParams,
                     vq: VolumeQuadrature):
     comps = config.components
     X, W = vq.cloud(comps)
-    (_, phi1, G1), (_, phi2, G2) = pair_potential_field(
+    (phi1, G1), (phi2, G2) = pair_potential_field(
         X, W, params.alpha, vq.levels)
     phi, _ = richardson(phi1, phi2, params.d, params.alpha)
     G, _ = richardson(G1, G2, params.d, params.alpha)
@@ -522,7 +524,7 @@ def minimize(init: Configuration, params: EnergyParams,
             if projection:
                 cand = _project_volume(cand)
             f_new = _objective(cand, params, vq, lam)
-            if f_new <= f - opts.c1 * t * gd:
+            if f_new < f and f_new <= f - opts.c1 * t * gd:
                 accepted = True
                 break
             t *= opts.shrink

@@ -8,6 +8,8 @@ import pytest
 from isoshape.energy import (
     VolumeQuadrature,
     interaction,
+    pair_potential_field,
+    pair_sum,
     penalized_energy,
     potential,
     riesz_self,
@@ -283,3 +285,81 @@ def test_alpha_range_enforced():
         EnergyParams(d=2, p=2.0, alpha=2.5)
     with pytest.raises(ValidationError):
         EnergyParams(d=2, p=-1.0, alpha=1.0)
+
+
+# ----------------------------------------------------------------------
+# pair kernels against a plain broadcast reference
+# ----------------------------------------------------------------------
+
+KERNEL_LEVELS = (0.1, 0.05)
+
+
+def _dense_pairs(XA, XB, alpha, h):
+    """Differences, kernel and field kernel of every pair, by broadcasting."""
+    diff = XA[:, None, :] - XB[None, :, :]
+    s = (diff * diff).sum(axis=2) + h * h
+    return diff, s ** (-alpha / 2.0), s ** (-alpha / 2.0 - 1.0)
+
+
+def _cloud(rng, n, d=2):
+    X = rng.uniform(-1.0, 1.0, size=(n, d))
+    return X, rng.uniform(0.1, 1.0, size=n)
+
+
+# sizes around the 64-row minimum block; 1153 rows make eight blocks of 145
+# rows, the last one shorter
+KERNEL_SIZES = (1, 63, 64, 65, 200, 1153)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_pair_sum_matches_dense_reference(n, alpha):
+    rng = np.random.default_rng(n)
+    X, W = _cloud(rng, n)
+    Y, V = _cloud(rng, n + 5)
+    self_sums = pair_sum(X, W, X, W, alpha, KERNEL_LEVELS)
+    cross_sums = pair_sum(X, W, Y, V, alpha, KERNEL_LEVELS)
+    for t, h in enumerate(KERNEL_LEVELS):
+        _, k, _ = _dense_pairs(X, X, alpha, h)
+        assert self_sums[t] == pytest.approx(float(W @ k @ W), rel=1e-12)
+        _, k, _ = _dense_pairs(X, Y, alpha, h)
+        assert cross_sums[t] == pytest.approx(float(W @ k @ V), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_pair_potential_field_matches_dense_reference(n, alpha):
+    rng = np.random.default_rng(n)
+    X, W = _cloud(rng, n, d=3)
+    for (phi, G), h in zip(pair_potential_field(X, W, alpha, KERNEL_LEVELS),
+                           KERNEL_LEVELS):
+        diff, k, g = _dense_pairs(X, X, alpha, h)
+        np.testing.assert_allclose(phi, k @ W, rtol=1e-12)
+        G_ref = -alpha * np.einsum("ab,b,abt->at", g, W, diff)
+        # G_a = -alpha (X_a sum_b g W_b - sum_b g W_b X_b) cancels towards
+        # zero: the absolute floor is 1e-12 of the size of the two terms
+        scale = alpha * np.abs(g @ W).max() * np.abs(X).max()
+        np.testing.assert_allclose(G, G_ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_pair_sum_self_path_equals_cross_path(n):
+    rng = np.random.default_rng(n)
+    X, W = _cloud(rng, n)
+    upper = pair_sum(X, W, X, W, 1.0, KERNEL_LEVELS)
+    full = pair_sum(X, W, X.copy(), W, 1.0, KERNEL_LEVELS)
+    assert upper == pytest.approx(full, rel=1e-12)
+
+
+def test_pair_kernels_are_bit_reproducible():
+    rng = np.random.default_rng(7)
+    X, W = _cloud(rng, 1153)
+    Y, V = _cloud(rng, 200)
+    assert (pair_sum(X, W, X, W, 1.0, KERNEL_LEVELS)
+            == pair_sum(X, W, X, W, 1.0, KERNEL_LEVELS))
+    assert (pair_sum(X, W, Y, V, 1.0, KERNEL_LEVELS)
+            == pair_sum(X, W, Y, V, 1.0, KERNEL_LEVELS))
+    first = pair_potential_field(X, W, 1.0, KERNEL_LEVELS)
+    second = pair_potential_field(X, W, 1.0, KERNEL_LEVELS)
+    for (phi1, G1), (phi2, G2) in zip(first, second):
+        assert np.array_equal(phi1, phi2) and np.array_equal(G1, G2)

@@ -230,6 +230,19 @@ def test_objective_guards_reject_bad_candidates():
     assert _objective(Configuration((spiky,)), params, vq, 0.0) == math.inf
 
 
+
+def test_line_search_requires_strict_decrease(monkeypatch):
+    # A flat objective: f - c1*t*gd rounds to f once the step is small
+    # enough, and a candidate with f_new == f must still be rejected.
+    import isoshape.optimize as O
+    monkeypatch.setattr(O, "_objective", lambda *args: 1.0)
+    grid = make_grid(2, 32)
+    params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=0.01)
+    init = build_initial_config(params, grid, ("perturbed-ball", 0.15, 3))
+    _, rec = minimize(init, params, OptimizerOptions(max_iter=50))
+    assert rec.iterations == 1
+    assert not rec.converged
+
 def test_sweep_gamma_basic():
     grid = make_grid(2, 24)
     params = EnergyParams(d=2, p=2.0, alpha=1.0)
