@@ -9,9 +9,9 @@ a descended two-ball configuration at gamma = 100 and cross-checks the
 winner's Riesz energy against the Monte Carlo oracle.
 
 The descended shapes at this gamma press against the lower radius
-floor of the parametrization, where the volume quadrature converges
-only like 1/n; the cross-check therefore evaluates the energy on a
-resolution ladder and removes the 1/n truncation by two-level
+floor of the parametrization, where the Riesz quadrature converges
+slowly in n; the cross-check therefore evaluates the energy on a
+resolution ladder and removes a 1/n truncation by two-level
 Richardson extrapolation before comparing with the MC estimate.
 
 Run:  python3 demos/fragmentation.py [--n 32]

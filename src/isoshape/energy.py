@@ -14,7 +14,36 @@ with density perimeter and Riesz interaction
 where a(x) = |x|^p.  V splits over components as
 sum_m V(Omega_m) + 2 sum_{m<n} I(Omega_m, Omega_n).
 
-The double integral is evaluated on a product volume grid
+Two discretizations of V share the package; only alpha picks one.
+
+Boundary form, alpha <= BOUNDARY_ALPHA_MAX = 3/2.  Since
+Laplacian(phi) = |z|^{-alpha} for phi = |z|^{2-alpha} / ((2-alpha)(d-alpha)),
+the divergence theorem applied twice gives
+
+    V(A, B) = c_alpha int_dA int_dB (n_x . n_y) |x - y|^{2-alpha},
+    c_alpha = -1 / ((2 - alpha)(d - alpha)),
+
+a bounded kernel for alpha < 2: no smoothing length and no radial
+nodes.  On the grid the boundary points are y_i = c + r_i theta_i and
+the weighted normals are N_i = w_i r_i^{d-2} (r_i theta_i - grad_tau r_i),
+built from the grid's tangential stencils, so
+
+    S_n = c_alpha sum_{i,j} |y_i - y_j|^{2-alpha} (N_i . N_j)
+
+over boundary node pairs; the i = j term is 0.  S_n is the value that
+is minimized, differentiated and reported.  Its error bar is
+|S_n - S_c|, where S_c is the same sum on a coarse level with its own
+tangential stencils: in d=2 the uniform grid of ceil(n/2) angles (the
+even-indexed nodes for even n; for odd n the trigonometric interpolant
+of the radii evaluated there), in d=3 every other azimuth with doubled
+weights.  The potential takes the single-layer form
+v(x) = -1/(d-alpha) int_dOmega |x-y|^{-alpha} (x-y) . n_y.
+
+Volume form, alpha > 3/2.  Near alpha = 2 the |t|^{2-alpha} kink of the
+boundary kernel on the diagonal makes the plain boundary sum less
+accurate than the volume rule, and for d=3 alpha >= 2 its coarse-level
+bar misses the exact ball values (the measurements are recorded at
+BOUNDARY_ALPHA_MAX).  These exponents keep the product volume grid
 
     x(theta_j, s_k) = c + s_k r(theta_j) theta_j,
     W_{jk} = s_k^{d-1} r(theta_j)^d w_j v_k,
@@ -26,19 +55,17 @@ from the two levels {h0, h0/2} with exponent q = min(2, d - alpha): the
 smoothing bias of the kernel is exactly homogeneous of order d - alpha at
 short range, while for d - alpha > 2 the long-range h^2 correction
 dominates.  |extrapolation correction| is reported as the error estimate.
-
-Every Riesz value, field, potential and deficit in the package is a
-pair sum over the node cloud built by ``VolumeQuadrature.cloud``, taken
-at ``VolumeQuadrature.levels`` and combined by ``richardson``, the one
-h -> 0 step.  The perimeter and its gradient share ``_perimeter_terms``.
-
 The default h0 is half the median inter-node spacing, where the spacing
 at a node is the total distance to its adjacent nodes across the grid
 directions (radial plus angular extents of the local quadrature cell).
-This keeps both extrapolation levels above the scale where the discrete
-pair sum stops tracking the smoothed integral.  h0 scales linearly under
-dilation of the configuration, which makes the discrete V exactly
-homogeneous: V(t Omega) = t^{2d-alpha} V(Omega) up to roundoff.
+h0 scales linearly under dilation of the configuration.
+
+Both forms are exactly homogeneous: V(t Omega) = t^{2d-alpha} V(Omega)
+up to roundoff.  Every Riesz value and deficit goes through
+``riesz_sums`` (the two level sums) and ``riesz_estimate`` (value and
+error bar); the minimized value is ``riesz_value`` and its exact
+gradient ``riesz_gradient``.  The perimeter and its gradient share
+``_perimeter_terms``.
 
 All pair sums run over fixed row blocks whose size depends only on the
 array sizes, with compensated summation of the block partials, so results
@@ -61,6 +88,7 @@ from .errors import ExtrapolationUnstableError, OverlapError, ValidationError
 from .geometry import (
     Configuration,
     EnergyParams,
+    SphereGrid,
     StarShape,
     total_volume,
 )
@@ -76,6 +104,21 @@ __all__ = [
     "total_energy",
     "penalized_energy",
 ]
+
+# Largest alpha evaluated in the boundary form; larger alpha use the
+# volume form.  Relative error against the exact ball constants of the
+# plain boundary sum S_n and of the volume path, on the same grid:
+#     d=2 n=20 alpha=1.75    2.1e-1  vs 1.3e-1
+#     d=3 n=8  alpha=1.6     3.5e-2  vs 2.4e-2
+#     d=3 n=32 alpha=1.7     2.6e-3  vs 9.0e-4
+#     d=2 n=48 alpha=1.5     1.45e-2 vs 5.5e-2
+#     d=3 n=16 alpha=1.5     4.0e-3  vs 8.4e-3
+# At alpha = 1.5 the boundary sum is the more accurate in 10 of 11 cells
+# (d=2 n in {16, 20, 32, 48, 64}, d=3 n in {8, 12, 16, 24, 32}); the
+# exception is d=2 n=16, 7.6e-2 vs 6.8e-2.  At d=3, alpha in
+# {2.25, 2.5, 2.75} and n in {8, 12, 16, 24}, the coarse-level bar
+# |S_n - S_c| misses the exact value in 12 of 12 cells.
+BOUNDARY_ALPHA_MAX = 1.5
 
 # Element budget of each block buffer of the pair matrix (~64 MB per
 # buffer; a value sum holds two, a field three).
@@ -265,6 +308,211 @@ def richardson(S_h, S_half, d: int, alpha: float):
 
 
 # ----------------------------------------------------------------------
+# boundary sums
+# ----------------------------------------------------------------------
+
+def _c_alpha(d: int, alpha: float) -> float:
+    return -1.0 / ((2.0 - alpha) * (d - alpha))
+
+
+def _boundary_nodes(grid: SphereGrid, center, r):
+    """Boundary points Y = c + r theta and weighted normals
+    N = w r^(d-2) (r theta - sum_k D_k(r) t_k) at the grid nodes."""
+    Y = center[None, :] + r[:, None] * grid.nodes
+    T = r[:, None] * grid.nodes
+    for c, t in zip(grid.grad_components(r), grid.tangent_frame()):
+        T -= c[:, None] * t
+    return Y, (grid.weights * r ** (grid.d - 2))[:, None] * T
+
+
+def _coarse_nodes(shape: StarShape):
+    """Boundary nodes of the coarse level, with its own stencils.
+
+    d=2: the uniform grid of m = ceil(n/2) angles; for even n its radii
+    are those of the even-indexed nodes, for odd n the values of the
+    trigonometric interpolant of the n radii.  d=3: every other azimuth,
+    with doubled weights and the stencil of n azimuths.
+    """
+    g, r = shape.grid, shape.radii
+    if g.d == 2:
+        m = (g.n + 1) // 2
+        theta = 2.0 * math.pi * np.arange(m) / m
+        if g.n % 2 == 0:
+            rc = r[::2]
+        else:
+            k = np.fft.fftfreq(g.n, 1.0 / g.n)
+            rc = (np.exp(1j * np.outer(theta, k)) @ np.fft.fft(r)).real / g.n
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        coarse = SphereGrid(d=2, n=m, nodes=nodes, theta=theta,
+                            weights=np.full(m, 2.0 * math.pi / m))
+    else:
+        def every_other_azimuth(a):
+            a = a.reshape(g.shape2d + a.shape[1:])[:, ::2]
+            return a.reshape(-1, *a.shape[2:])
+
+        coarse = SphereGrid(d=3, n=g.n, nodes=every_other_azimuth(g.nodes),
+                            weights=2.0 * every_other_azimuth(g.weights),
+                            polar=g.polar, azimuth=g.azimuth[::2],
+                            dpolar=g.dpolar)
+        rc = every_other_azimuth(r)
+    return _boundary_nodes(coarse, shape.center, rc)
+
+
+def _boundary_cloud(shapes, coarse: bool = False):
+    """Boundary nodes (Y, N) of several components, concatenated, on the
+    fine or the coarse level."""
+    nodes = [_coarse_nodes(s) if coarse else
+             _boundary_nodes(s.grid, s.center, s.radii) for s in shapes]
+    return (np.concatenate([y for y, _ in nodes]),
+            np.concatenate([n for _, n in nodes]))
+
+
+def boundary_sum(YA, NA, YB, NB, alpha: float) -> float:
+    """c_alpha sum_{a,b} |YA_a - YB_b|^(2-alpha) (NA_a . NB_b).
+
+    A self sum (YA is YB and NA is NB) covers the upper block triangle,
+    as pair_sum does; its diagonal terms are 0.  Block partials are
+    summed with fsum in a fixed order.
+    """
+    upper = YA is YB and NA is NB
+    parts = []
+    for i0, i1, k, _ in _blocks(YA, YB, upper, 0):
+        nb = np.concatenate((NB[i0:i1], 2.0 * NB[i1:])) if upper else NB
+        np.power(k, 1.0 - alpha / 2.0, out=k)
+        parts.append(float(np.vdot(NA[i0:i1], k @ nb)))
+    return _c_alpha(YA.shape[1], alpha) * math.fsum(parts)
+
+
+def boundary_field(Y, N, alpha: float):
+    """Partial derivatives (dS/dY, dS/dN) of the self sum
+    S = boundary_sum(Y, N, Y, N, alpha), one row per node:
+
+        dS/dN_a = 2 c_alpha sum_b |Y_a-Y_b|^(2-alpha) N_b,
+        dS/dY_a = 2 c_alpha (2-alpha) sum_b |Y_a-Y_b|^(-alpha) (N_a . N_b) (Y_a-Y_b),
+
+    with |Y_a-Y_a|^(-alpha) taken as 0.  Each pair of the upper block
+    triangle is evaluated once and feeds both of its nodes.
+    """
+    n, d = Y.shape
+    P = np.zeros((n, d))
+    # A accumulates sum_b m_ab and sum_b m_ab Y_b side by side, with
+    # m_ab = |Y_a-Y_b|^(-alpha) (N_a . N_b)
+    A = np.zeros((n, d + 1))
+    Y1 = np.column_stack((np.ones(n), Y))
+    for i0, i1, d2, (s, k) in _blocks(Y, Y, True, 2):
+        b = i1 - i0
+        with np.errstate(divide="ignore"):
+            np.power(d2, -alpha / 2.0, out=s)
+        np.fill_diagonal(s[:, :b], 0.0)
+        np.multiply(s, d2, out=k)
+        P[i0:i1] += k @ N[i0:]
+        P[i1:] += k[:, b:].T @ N[i0:i1]
+        np.matmul(N[i0:i1], N[i0:].T, out=k)
+        np.multiply(s, k, out=s)
+        A[i0:i1] += s @ Y1[i0:]
+        A[i1:] += s[:, b:].T @ Y1[i0:i1]
+    c = 2.0 * _c_alpha(d, alpha)
+    return c * (2.0 - alpha) * (A[:, :1] * Y - A[:, 1:]), c * P
+
+
+def _boundary_gradient(shapes, alpha: float):
+    """Exact (dS/dr, dS/dc) per component of the self sum S over the
+    union of the components' boundary nodes, through the adjoint
+    tangential stencils."""
+    gY, gN = boundary_field(*_boundary_cloud(shapes), alpha)
+    out = []
+    i0 = 0
+    for s in shapes:
+        g, r = s.grid, s.radii
+        d, w = g.d, g.weights
+        i1 = i0 + r.size
+        gy, gn = gY[i0:i1], gN[i0:i1]
+        # N depends on r_i through w r^(d-1) theta, through the factor
+        # w r^(d-2) of its tangential part, and through the stencils D_k
+        gt = [np.einsum("ij,ij->i", gn, t) for t in g.tangent_frame()]
+        comps = g.grad_components(r)
+        gr = np.einsum("ij,ij->i", gy + (d - 1) * (w * r ** (d - 2))[:, None] * gn,
+                       g.nodes)
+        gr -= (d - 2) * w * r ** (d - 3) * sum(c * t for c, t in zip(comps, gt))
+        gr -= g.grad_components_T([w * r ** (d - 2) * t for t in gt])
+        out.append((gr, gy.sum(axis=0)))
+        i0 = i1
+    return out
+
+
+# ----------------------------------------------------------------------
+# Riesz values on either path
+# ----------------------------------------------------------------------
+
+def riesz_sums(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
+    """The two level sums of V over the union of shapes that
+    riesz_estimate combines: (S_n, S_c) in the boundary form, the pair
+    sums at (h, h/2) in the volume form."""
+    if params.alpha <= BOUNDARY_ALPHA_MAX:
+        return [boundary_sum(Y, N, Y, N, params.alpha)
+                for Y, N in (_boundary_cloud(shapes, coarse)
+                             for coarse in (False, True))]
+    if vq is None:
+        vq = VolumeQuadrature.build(Configuration(tuple(shapes)))
+    X, W = vq.cloud(shapes)
+    return pair_sum(X, W, X, W, params.alpha, vq.levels)
+
+
+def riesz_estimate(sums, params: EnergyParams):
+    """(value, error bar) from riesz_sums, or from differences of them."""
+    if params.alpha <= BOUNDARY_ALPHA_MAX:
+        return sums[0], abs(sums[0] - sums[1])
+    return richardson(sums[0], sums[1], params.d, params.alpha)
+
+
+def riesz_value(shapes, params: EnergyParams, vq: VolumeQuadrature | None) -> float:
+    """V over the union of shapes as the optimizer minimizes it: S_n in
+    the boundary form (no coarse level), the Richardson value in the
+    volume form."""
+    if params.alpha <= BOUNDARY_ALPHA_MAX:
+        Y, N = _boundary_cloud(shapes)
+        return boundary_sum(Y, N, Y, N, params.alpha)
+    return riesz_estimate(riesz_sums(shapes, params, vq), params)[0]
+
+
+def riesz_gradient(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
+    """Exact (dV/dr, dV/dc) of riesz_value, one pair per component.
+
+    The volume form differentiates the pair sums at the frozen kernel
+    lengths through the potential phi and field G of the node cloud,
+    Richardson combined like the value:
+    dV/dr_J = 2 sum_k [(d/r_J) W_Jk phi_Jk + W_Jk s_k (theta_J . G_Jk)],
+    dV/dc_m = 2 sum_{a in m} W_a G_a.
+    """
+    if params.alpha <= BOUNDARY_ALPHA_MAX:
+        return _boundary_gradient(shapes, params.alpha)
+    if vq is None:
+        vq = VolumeQuadrature.build(Configuration(tuple(shapes)))
+    X, W = vq.cloud(shapes)
+    (phi1, G1), (phi2, G2) = pair_potential_field(
+        X, W, params.alpha, vq.levels)
+    phi, _ = richardson(phi1, phi2, params.d, params.alpha)
+    G, _ = richardson(G1, G2, params.d, params.alpha)
+    out = []
+    i0 = 0
+    ns = vq.s.size
+    for shape in shapes:
+        g = shape.grid
+        d = g.d
+        n_nodes = shape.radii.size * ns
+        Wm = W[i0:i0 + n_nodes].reshape(-1, ns)
+        pm = phi[i0:i0 + n_nodes].reshape(-1, ns)
+        Gm = G[i0:i0 + n_nodes].reshape(-1, ns, d)
+        proj = np.einsum("jkt,jt->jk", Gm, g.nodes)
+        gr = 2.0 * ((d / shape.radii) * (Wm * pm).sum(axis=1)
+                    + (Wm * vq.s[None, :] * proj).sum(axis=1))
+        gc = 2.0 * (Wm[:, :, None] * Gm).sum(axis=(0, 1))
+        out.append((gr, gc))
+        i0 += n_nodes
+    return out
+
+
+# ----------------------------------------------------------------------
 # energy terms
 # ----------------------------------------------------------------------
 
@@ -316,7 +564,7 @@ def perimeter_gradient(shape: StarShape, params: EnergyParams):
 
 @dataclass(frozen=True)
 class RieszResult:
-    """Extrapolated Riesz value with its internal error estimate."""
+    """Riesz value with its error bar (riesz_estimate)."""
 
     value: float
     error: float
@@ -325,13 +573,16 @@ class RieszResult:
         return self.value
 
 
-def riesz_self(shape: StarShape, params: EnergyParams, vq: VolumeQuadrature,
+def riesz_self(shape: StarShape, params: EnergyParams,
+               vq: VolumeQuadrature | None = None,
                rtol: float | None = None) -> RieszResult:
-    """Riesz self-energy V(Omega) = int_Omega int_Omega |x-y|^{-alpha}."""
+    """Riesz self-energy V(Omega) = int_Omega int_Omega |x-y|^{-alpha}.
+
+    vq is the rule of the volume form (alpha > BOUNDARY_ALPHA_MAX), built
+    from the shape when not given; the boundary form does not use it.
+    """
     _check_alpha(params)
-    X, W = vq.nodes(shape)
-    value, err = richardson(*pair_sum(X, W, X, W, params.alpha, vq.levels),
-                            params.d, params.alpha)
+    value, err = riesz_estimate(riesz_sums((shape,), params, vq), params)
     value = max(value, 0.0)
     if rtol is not None and err > rtol * max(abs(value), 1e-300):
         raise ExtrapolationUnstableError(
@@ -340,7 +591,7 @@ def riesz_self(shape: StarShape, params: EnergyParams, vq: VolumeQuadrature,
 
 
 def interaction(A: StarShape, B: StarShape, params: EnergyParams,
-                vq: VolumeQuadrature) -> float:
+                vq: VolumeQuadrature | None = None) -> float:
     """Cross term I(A,B) = int_A int_B |x-y|^{-alpha} for disjoint A, B.
 
     The operand pair is put in a canonical order before summation, so
@@ -353,6 +604,13 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
         raise OverlapError(
             "components must have disjoint bounding spheres "
             f"(gap {gap:.3e})")
+    if params.alpha <= BOUNDARY_ALPHA_MAX:
+        (YA, NA), (YB, NB) = (_boundary_cloud((s,)) for s in (A, B))
+        if YB.tobytes() < YA.tobytes():
+            YA, NA, YB, NB = YB, NB, YA, NA
+        return max(boundary_sum(YA, NA, YB, NB, params.alpha), 0.0)
+    if vq is None:
+        vq = VolumeQuadrature.build(Configuration((A, B)))
     XA, WA = vq.nodes(A)
     XB, WB = vq.nodes(B)
     if XB.tobytes() < XA.tobytes():
@@ -363,15 +621,31 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
 
 
 def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) -> float:
-    """Riesz potential v_Omega(x) = int_Omega |x-y|^{-alpha} dy."""
+    """Riesz potential v_Omega(x) = int_Omega |x-y|^{-alpha} dy.
+
+    The boundary form is the single-layer sum
+    -1/(d-alpha) sum_j |x-y_j|^(-alpha) (x-y_j) . N_j, with the term of a
+    node at x taken as 0.  Each point is summed on its own, so a batch
+    of points gives the values of single calls bit for bit.
+    """
     _check_alpha(params)
-    if vq is None:
-        vq = VolumeQuadrature.build(obj)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    X, W = vq.cloud(_components(obj))
-    sums = np.array([pair_sum(pt[None, :], np.ones(1), X, W, params.alpha,
-                              vq.levels) for pt in pts]).reshape(-1, 2)
-    vals, _ = richardson(sums[:, 0], sums[:, 1], params.d, params.alpha)
+    if params.alpha <= BOUNDARY_ALPHA_MAX:
+        Y, N = _boundary_cloud(_components(obj))
+        vals = np.empty(len(pts))
+        for t, pt in enumerate(pts):
+            diff = pt[None, :] - Y
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            kern = np.where(d2 > 0.0, d2, np.inf) ** (-params.alpha / 2.0)
+            vals[t] = ((kern @ np.einsum("ij,ij->i", diff, N))
+                       / (params.alpha - params.d))
+    else:
+        if vq is None:
+            vq = VolumeQuadrature.build(obj)
+        X, W = vq.cloud(_components(obj))
+        sums = np.array([pair_sum(pt[None, :], np.ones(1), X, W, params.alpha,
+                                  vq.levels) for pt in pts]).reshape(-1, 2)
+        vals, _ = richardson(sums[:, 0], sums[:, 1], params.d, params.alpha)
     if np.ndim(x) == 1:
         return float(vals[0])
     return vals
@@ -388,7 +662,7 @@ def total_energy(config, params: EnergyParams,
     if isinstance(config, StarShape):
         config = Configuration((config,))
     config.validate()
-    if vq is None:
+    if vq is None and params.alpha > BOUNDARY_ALPHA_MAX:
         vq = VolumeQuadrature.build(config)
     comps = config.components
     per = math.fsum(weighted_perimeter(s, params) for s in comps)

@@ -31,10 +31,10 @@ Deficit conventions.  perimeter_deficit compares with the same-radius
 ball B_R, which is the comparison the per-mode series limit above
 refers to.  riesz_deficit compares with the ball whose radius is
 computed from the exact quadrature volume of the perturbed shape, so
-the sign test is meaningful; both shapes are evaluated at the same
-frozen kernel lengths {h0, h0/2} and the Richardson extrapolation is
-applied to the difference of the pair sums, which cancels the
-common-mode quadrature bias of two nearly identical shapes.
+the sign test is meaningful.  Both shapes are summed on the same grid,
+and the error bar is taken from the difference of their sums, which
+cancels the common-mode quadrature bias of two nearly identical shapes
+(``riesz_deficit``).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from numpy.polynomial.legendre import Legendre
 from .energy import (
     RieszResult,
     VolumeQuadrature,
-    pair_sum,
-    richardson,
+    riesz_estimate,
+    riesz_sums,
     weighted_perimeter,
 )
 from .errors import (
@@ -241,22 +241,26 @@ def riesz_deficit(pert: Perturbation, R: float | None = None,
                   rtol: float | None = None) -> RieszResult:
     """V(B) - V(Omega_u) against the ball of exactly matched quadrature volume.
 
-    Both shapes are integrated with the same node counts and the same
-    frozen kernel lengths {h0, h0/2}; the Richardson step extrapolates
-    the difference of the pair sums, so the returned error estimate is
-    the h-sensitivity of the deficit itself, not of the two energies.
+    Both shapes are summed on the same grid (energy.riesz_sums), and the
+    value and error bar come from the difference of the two level sums,
+    so the bar measures the deficit itself, not the two energies.  In
+    the boundary form (alpha <= 3/2) the value is the fine-grid
+    difference D_n and the bar is |D_n - D_c|, with D_c the difference
+    on the coarse level.  For alpha > 3/2 both shapes use the volume rule
+    built for the perturbed shape, at the frozen kernel lengths
+    {h0, h0/2}, and the Richardson step extrapolates the difference, so
+    the bar is the h-sensitivity of the deficit.
     """
     g = pert.grid
     shape = shape_from_perturbation(pert, R)
     r_b = (volume(shape) / unit_ball_volume(g.d)) ** (1.0 / g.d)
     ball = make_ball(r_b, np.zeros(g.d), g)
+    params = EnergyParams(d=g.d, p=pert.p, alpha=alpha)
     vq = VolumeQuadrature.build(shape)
-    xs, ws = vq.nodes(shape)
-    xb, wb = vq.nodes(ball)
-    s_shape = pair_sum(xs, ws, xs, ws, alpha, vq.levels)
-    s_ball = pair_sum(xb, wb, xb, wb, alpha, vq.levels)
-    value, error = richardson(s_ball[0] - s_shape[0], s_ball[1] - s_shape[1],
-                              g.d, alpha)
+    s_shape = riesz_sums((shape,), params, vq)
+    s_ball = riesz_sums((ball,), params, vq)
+    value, error = riesz_estimate([s_ball[0] - s_shape[0],
+                                   s_ball[1] - s_shape[1]], params)
     if rtol is not None and error > rtol * max(abs(value), 1e-300):
         raise ExtrapolationUnstableError(
             f"riesz deficit extrapolation unstable: estimate {error:.3e} "

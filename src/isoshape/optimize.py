@@ -6,17 +6,17 @@ below half an ulp of f, the Armijo bound rounds to f itself.
 Gradients are the exact derivatives of the discrete energy: the
 perimeter part differentiates the surface quadrature sum through the
 finite-difference tangential gradient operators (using their exact
-adjoints), and the Riesz part differentiates the desingularized pair
-sum at the frozen kernel lengths {h0, h0/2},
-
-    dV/dr_J = 2 sum_k [ (d/r_J) W_Jk phi_Jk + W_Jk s_k (theta_J . G_Jk) ],
-    dV/dc_m = 2 sum_{a in m} W_a G_a,
-
-where phi and G are the desingularized potential and its spatial
-gradient accumulated over the whole node cloud and then Richardson
-combined exactly like the energy.  Because energy and gradient use the
-same frozen quadrature, the gradient matches central finite differences
-of the energy to truncation order.
+adjoints), and the Riesz part is ``energy.riesz_gradient``.  In the
+boundary form (alpha <= BOUNDARY_ALPHA_MAX) that differentiates the
+boundary sum S_n over the union of all components' boundary nodes: one
+pass gives dS/dy_i and dS/dN_i, which are chained through
+y_i = c + r_i theta_i and, for the tangential part of N_i, through the
+adjoint stencils.  In the volume form it differentiates the
+desingularized pair sum at the frozen kernel lengths {h0, h0/2}.
+Because energy and gradient use the same frozen quadrature, the
+gradient matches central finite differences of the energy to
+truncation order, and the energy a run reports is the objective it
+minimized, at that quadrature.
 
 The unit-volume constraint is enforced either by projection (dilation
 x -> t x with t = volume^{-1/d}, exact for the homogeneous density
@@ -48,11 +48,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .energy import (
+    BOUNDARY_ALPHA_MAX,
     VolumeQuadrature,
-    pair_potential_field,
-    pair_sum,
     perimeter_gradient,
-    richardson,
+    riesz_gradient,
+    riesz_value,
     total_energy,
     weighted_perimeter,
 )
@@ -202,44 +202,19 @@ def mass_to_gamma(m: float, params: EnergyParams) -> float:
 # exact discrete gradient
 # ----------------------------------------------------------------------
 
-def _riesz_gradient(config: Configuration, params: EnergyParams,
-                    vq: VolumeQuadrature):
-    comps = config.components
-    X, W = vq.cloud(comps)
-    (phi1, G1), (phi2, G2) = pair_potential_field(
-        X, W, params.alpha, vq.levels)
-    phi, _ = richardson(phi1, phi2, params.d, params.alpha)
-    G, _ = richardson(G1, G2, params.d, params.alpha)
-    out = []
-    i0 = 0
-    ns = vq.s.size
-    for shape in comps:
-        g = shape.grid
-        d = g.d
-        n_nodes = shape.radii.size * ns
-        Wm = W[i0:i0 + n_nodes].reshape(-1, ns)
-        pm = phi[i0:i0 + n_nodes].reshape(-1, ns)
-        Gm = G[i0:i0 + n_nodes].reshape(-1, ns, d)
-        proj = np.einsum("jkt,jt->jk", Gm, g.nodes)
-        gr = 2.0 * ((d / shape.radii) * (Wm * pm).sum(axis=1)
-                    + (Wm * vq.s[None, :] * proj).sum(axis=1))
-        gc = 2.0 * (Wm[:, :, None] * Gm).sum(axis=(0, 1))
-        out.append((gr, gc))
-        i0 += n_nodes
-    return out
-
-
-def shape_gradient(config, params: EnergyParams, vq: VolumeQuadrature):
+def shape_gradient(config, params: EnergyParams,
+                   vq: VolumeQuadrature | None = None):
     """Exact gradient of the discrete E_gamma.
 
     Returns one (dE/dr, dE/dc) pair per component; both arrays are the
-    coordinate partial derivatives of total_energy at frozen quadrature.
+    coordinate partial derivatives of total_energy at frozen quadrature
+    (vq, used by the volume form only).
     """
     if isinstance(config, StarShape):
         config = Configuration((config,))
     grads = [perimeter_gradient(s, params) for s in config.components]
     if params.gamma != 0.0:
-        rg = _riesz_gradient(config, params, vq)
+        rg = riesz_gradient(config.components, params, vq)
         grads = [(gp + params.gamma * gr, cp + params.gamma * cr)
                  for (gp, cp), (gr, cr) in zip(grads, rg)]
     return grads
@@ -398,22 +373,47 @@ EPS_LAM = 1e-8
 
 # Resolvability cap on the radial graph: max |grad_tau r| per component
 # may not exceed SLOPE_LIMIT times the component's volume radius.  The
-# frozen desingularized kernel cannot see features below its smoothing
-# length, so without this cap a strongly repulsive Riesz term (large
-# gamma) drives the descent into sub-grid "starburst" oscillations that
-# hide interaction mass from the quadrature while the true energy grows.
-# Candidates beyond the cap are outside the class of shapes the discrete
-# model resolves and are rejected like overlapping ones.
+# discrete model cannot see features below the grid scale, so without
+# this cap a strongly repulsive Riesz term (large gamma) drives the
+# descent into sub-grid "starburst" oscillations that hide interaction
+# mass from the quadrature while the true energy grows.  Candidates
+# beyond the cap are outside the class of shapes the discrete model
+# resolves and are rejected like overlapping ones.
+#
+# In the boundary form the slope |r_b - r_a| / arc(a, b) between adjacent
+# nodes is capped too.  The central stencils that build the boundary
+# normals (and the perimeter) are blind to the alternating mode
+# r_j = (-1)^j, which moves the boundary points but not the normals; at
+# gamma = 100 the boundary-form descent ran into that zigzag, with the
+# boundary sum 36% above the Monte Carlo value of the interpolated
+# shape.  The volume form sees the zigzag in its radial nodes and keeps
+# the stencil cap alone.
 SLOPE_LIMIT = 2.0
 
 
-def _resolved(config: Configuration) -> bool:
+def _node_slope(s: StarShape) -> float:
+    """Largest |r_b - r_a| / arc(a, b) over adjacent grid nodes a, b."""
+    g, r = s.grid, s.radii
+    if g.d == 2:
+        jump = np.abs(np.diff(r, append=r[:1]))
+        return float(jump.max()) * g.n / (2.0 * math.pi)
+    R = r.reshape(g.shape2d)
+    polar = np.abs(np.diff(R, axis=0)) / np.diff(g.polar)[:, None]
+    azimuth = (np.abs(np.diff(R, axis=1, append=R[:, :1]))
+               * (g.azimuth.size / (2.0 * math.pi)) / np.sin(g.polar)[:, None])
+    return max(float(polar.max()), float(azimuth.max()))
+
+
+def _resolved(config: Configuration, params: EnergyParams) -> bool:
+    boundary = params.alpha <= BOUNDARY_ALPHA_MAX
     for s in config.components:
         d = s.grid.d
-        r_vol = (volume(s) / unit_ball_volume(d)) ** (1.0 / d)
+        cap = SLOPE_LIMIT * (volume(s) / unit_ball_volume(d)) ** (1.0 / d)
         comps = s.grid.grad_components(s.radii)
         slope2 = sum(c * c for c in comps)
-        if float(slope2.max()) > (SLOPE_LIMIT * r_vol) ** 2:
+        if float(slope2.max()) > cap ** 2:
+            return False
+        if boundary and _node_slope(s) > cap:
             return False
     return True
 
@@ -424,15 +424,12 @@ def _objective(config: Configuration, params: EnergyParams,
         config.validate()
     except OverlapError:
         return math.inf
-    if not _resolved(config):
+    if not _resolved(config, params):
         return math.inf
     per = math.fsum(weighted_perimeter(s, params) for s in config.components)
     val = per
     if params.gamma != 0.0:
-        X, W = vq.cloud(config.components)
-        riesz, _ = richardson(*pair_sum(X, W, X, W, params.alpha, vq.levels),
-                              params.d, params.alpha)
-        val += params.gamma * riesz
+        val += params.gamma * riesz_value(config.components, params, vq)
     if lam:
         val += lam * math.hypot(total_volume(config) - 1.0, EPS_LAM)
     return val
@@ -536,7 +533,7 @@ def minimize(init: Configuration, params: EnergyParams,
 
     if not projection:
         config = _project_volume(config)
-    bd = total_energy(config, replace(params, lam=0.0))
+    bd = total_energy(config, replace(params, lam=0.0), vq)
     record = SweepRecord(
         gamma=params.gamma, p=params.p, alpha=params.alpha, d=params.d,
         energy=bd.total, perimeter=bd.weighted_perimeter, riesz=bd.riesz,

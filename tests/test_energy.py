@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from isoshape.energy import (
     VolumeQuadrature,
+    boundary_field,
+    boundary_sum,
     interaction,
     pair_potential_field,
     pair_sum,
     penalized_energy,
     potential,
     riesz_self,
+    riesz_sums,
     total_energy,
     weighted_perimeter,
 )
@@ -24,6 +29,7 @@ from isoshape.geometry import (
     dilate,
     make_ball,
     make_grid,
+    sphere_area,
     unit_ball_volume,
 )
 from isoshape.oracle import random_star
@@ -363,3 +369,136 @@ def test_pair_kernels_are_bit_reproducible():
     second = pair_potential_field(X, W, 1.0, KERNEL_LEVELS)
     for (phi1, G1), (phi2, G2) in zip(first, second):
         assert np.array_equal(phi1, phi2) and np.array_equal(G1, G2)
+
+
+# ----------------------------------------------------------------------
+# boundary kernel
+# ----------------------------------------------------------------------
+
+# sizes around the 64-row minimum block; 1153 rows make eight blocks
+BOUNDARY_SIZES = (1, 63, 64, 65, 1153)
+
+
+def _c_alpha(d, alpha):
+    return -1.0 / ((2.0 - alpha) * (d - alpha))
+
+
+def _boundary_like(rng, n, d):
+    """Points and vectors with positive components, so that the sums do
+    not cancel and a relative tolerance is meaningful."""
+    return (rng.uniform(-1.0, 1.0, size=(n, d)),
+            rng.uniform(0.1, 1.0, size=(n, d)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_boundary_sum_matches_dense_reference(n, alpha):
+    rng = np.random.default_rng(n)
+    for d in (2, 3):
+        Y, N = _boundary_like(rng, n, d)
+        Z, M = _boundary_like(rng, n + 5, d)
+        for (YA, NA, YB, NB) in ((Y, N, Y, N), (Y, N, Z, M)):
+            diff = YA[:, None, :] - YB[None, :, :]
+            k = (diff * diff).sum(axis=2) ** (1.0 - alpha / 2.0)
+            ref = _c_alpha(d, alpha) * float(np.einsum("ab,at,bt->", k, NA, NB))
+            assert boundary_sum(YA, NA, YB, NB, alpha) == pytest.approx(
+                ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_boundary_field_matches_dense_reference(n, alpha):
+    rng = np.random.default_rng(n)
+    for d in (2, 3):
+        Y, N = _boundary_like(rng, n, d)
+        gY, gN = boundary_field(Y, N, alpha)
+        diff = Y[:, None, :] - Y[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        s = d2 ** (-alpha / 2.0)
+        np.fill_diagonal(d2, 0.0)
+        c = 2.0 * _c_alpha(d, alpha)
+        np.testing.assert_allclose(gN, c * (d2 * s) @ N, rtol=1e-12)
+        m = s * (N @ N.T)
+        gY_ref = c * (2.0 - alpha) * np.einsum("ab,abt->at", m, diff)
+        # gY is assembled as Y_a sum_b m_ab - sum_b m_ab Y_b, which cancels
+        # towards zero: the absolute floor is 1e-12 of the two terms' size
+        scale = abs(c) * (2.0 - alpha) * np.abs(m.sum(axis=1)).max() * np.abs(Y).max()
+        np.testing.assert_allclose(gY, gY_ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_boundary_kernels_are_bit_reproducible():
+    rng = np.random.default_rng(7)
+    Y, N = _boundary_like(rng, 1153, 3)
+    Z, M = _boundary_like(rng, 200, 3)
+    assert boundary_sum(Y, N, Y, N, 1.0) == boundary_sum(Y, N, Y, N, 1.0)
+    assert boundary_sum(Y, N, Z, M, 1.0) == boundary_sum(Y, N, Z, M, 1.0)
+    first, second = boundary_field(Y, N, 1.0), boundary_field(Y, N, 1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def _exact_ball(d, alpha):
+    """V(B_1) = |S^(d-1)| int_0^2 t^(d-1-alpha) |B_1 cap (B_1 + t e)| dt."""
+    if d == 2:
+        def lens(t):
+            return 2.0 * math.acos(t / 2.0) - (t / 2.0) * math.sqrt(4.0 - t * t)
+    else:
+        def lens(t):
+            return math.pi / 12.0 * (4.0 + t) * (2.0 - t) ** 2
+    val, _ = quad(lens, 0.0, 2.0, weight="alg", wvar=(d - 1.0 - alpha, 0.0),
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return sphere_area(d) * val
+
+
+def test_exact_ball_constants_reproduce_closed_forms():
+    assert _exact_ball(2, 1.0) == pytest.approx(16 * math.pi / 3, rel=1e-12)
+    assert _exact_ball(3, 1.0) == pytest.approx(32 * math.pi ** 2 / 15,
+                                                rel=1e-12)
+
+
+# the d=2 and d=3 resolution ladders of the error-bar table, plus the odd
+# d=2 grid n=25, whose coarse level is the trigonometric interpolant
+BAR_CELLS = ([(2, n) for n in (16, 20, 25, 32, 48, 64, 128)]
+             + [(3, n) for n in (8, 12, 16, 24, 32)])
+
+
+@pytest.mark.parametrize("d,n", BAR_CELLS)
+def test_boundary_error_bar_covers_exact_ball(d, n):
+    for alpha in (0.5, 1.0, 1.5):
+        R = 1.3
+        ball = make_ball(R, np.full(d, 0.2), make_grid(d, n))
+        r = riesz_self(ball, EnergyParams(d=d, p=2.0, alpha=alpha))
+        exact = _exact_ball(d, alpha) * R ** (2 * d - alpha)
+        assert abs(r.value - exact) <= r.error, (alpha, r, exact)
+
+
+@pytest.mark.parametrize("n", [25, 48])
+def test_coarse_level_d2_is_the_half_grid(n):
+    # for a band-limited radial graph the coarse level of n nodes is the
+    # same shape on the uniform grid of ceil(n/2) angles: the even-indexed
+    # nodes for even n, the trigonometric interpolant for odd n
+    params = EnergyParams(d=2, p=2.0, alpha=1.0)
+    fine, half = make_grid(2, n), make_grid(2, (n + 1) // 2)
+
+    def radii(theta):
+        return 1.0 + 0.1 * np.cos(2 * theta) + 0.05 * np.sin(3 * theta)
+
+    shape = StarShape(grid=fine, center=np.array([0.3, -0.1]),
+                      radii=radii(fine.theta))
+    coarse = StarShape(grid=half, center=shape.center, radii=radii(half.theta))
+    _, s_c = riesz_sums((shape,), params, None)
+    s_half, _ = riesz_sums((coarse,), params, None)
+    assert s_c == pytest.approx(s_half, rel=1e-13)
+
+
+def test_volume_form_above_boundary_alpha_max():
+    # alpha = 2.5 in d=3 stays on the volume rule: the values below are
+    # the Richardson-extrapolated volume sums, frozen bit for bit from
+    # the code before the boundary form existed
+    params = EnergyParams(d=3, p=2.0, alpha=2.5)
+    ball = make_ball(1.0, np.zeros(3), make_grid(3, 8))
+    r = riesz_self(ball, params, VolumeQuadrature.build(ball))
+    assert (r.value, r.error) == (84.287162839333, 39.48118007922784)
+    star = random_star(np.random.default_rng(3), n=8, d=3, amp=0.08, kmax=3)
+    r = riesz_self(star, params)
+    assert (r.value, r.error) == (15.90941275902003, 7.461229182490621)

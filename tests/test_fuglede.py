@@ -133,6 +133,20 @@ def test_mode2_deficit_frozen_reference():
     assert abs(extrapolated - MODE2_DEFICIT_RATIO) <= MODE2_DEFICIT_3SIG
 
 
+# Riesz deficit of the mode-2, eps = 0.1 perturbation of the unit disk
+# at alpha = 1: the boundary-form deficit at n = 768, 0.04172025 with a
+# coarse-level bar of 7.9e-6 (at n = 192 and 384 it reads 0.0416807 and
+# 0.0417123; the differences shrink fourfold per doubling, the h^2 order
+# of the trapezoid sum at alpha = 1).
+MODE2_EPS01_DEFICIT = 0.0417202
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_riesz_deficit_error_bar_covers_reference(n):
+    rd = riesz_deficit(mode_perturbation(make_grid(2, n), 0.1, 2), alpha=1.0)
+    assert abs(float(rd) - MODE2_EPS01_DEFICIT) <= rd.error, rd
+
+
 def test_stability_ratio_gamma_scaling():
     g = make_grid(2, 96)
     pert = mode_perturbation(g, 0.1, 2)

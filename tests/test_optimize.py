@@ -79,6 +79,19 @@ def test_gradient_matches_finite_differences_d3():
     assert gc[2] == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
 
 
+@pytest.mark.parametrize("d,n,alpha", [(2, 24, 1.0), (3, 8, 2.5)])
+def test_reported_energy_is_the_minimized_objective(d, n, alpha):
+    # boundary form (alpha = 1) and volume form (alpha = 2.5): the record
+    # reports the objective of the final configuration at the frozen rule
+    from isoshape.optimize import _objective
+    params = EnergyParams(d=d, p=2.0, alpha=alpha, gamma=0.5)
+    init = build_initial_config(params, make_grid(d, n),
+                                ("perturbed-ball", 0.2, 2))
+    config, rec = minimize(init, params, OptimizerOptions(max_iter=40))
+    f = _objective(config, params, VolumeQuadrature.build(init), 0.0)
+    assert rec.energy == pytest.approx(f, rel=1e-12)
+
+
 def test_critical_exponent_values():
     assert critical_exponent(2, 1.0) == 2.0
     assert critical_exponent(3, 1.5) == 2.5
