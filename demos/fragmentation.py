@@ -8,7 +8,7 @@ This script compares the descended single-component candidate against
 a descended two-ball configuration at gamma = 100 and cross-checks the
 winner's Riesz energy against the Monte Carlo oracle.
 
-The descended shapes at this gamma press against the lower radius
+The descended shapes at this gamma pinch down towards the lower radius
 floor of the parametrization, where the Riesz quadrature converges
 slowly in n; the cross-check therefore evaluates the energy on a
 resolution ladder and removes a 1/n truncation by two-level

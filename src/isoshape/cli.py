@@ -298,14 +298,13 @@ def _cmd_minimize(cfg: RunConfig, outdir: Path) -> int:
     config, record = minimize(init, cfg.params, cfg.opts)
     shape_path = _write(outdir, "shape.json",
                         json.dumps(config_to_dict(config)) + "\n")
-    bd = total_energy(config, replace(cfg.params, lam=0.0))
     doc = {"params": _params_dict(cfg.params, cfg.n),
            "record": {"energy": record.energy,
                       "asphericity": record.asphericity,
                       "iterations": record.iterations,
                       "converged": record.converged,
                       "n_components": record.n_components},
-           "breakdown": bd.to_dict()}
+           "breakdown": record.breakdown.to_dict()}
     path = _write(outdir, "minimize.json", _json(doc))
     print(f"minimize: energy={record.energy:.12g} "
           f"asphericity={record.asphericity:.3e} "

@@ -14,7 +14,9 @@ with density perimeter and Riesz interaction
 where a(x) = |x|^p.  V splits over components as
 sum_m V(Omega_m) + 2 sum_{m<n} I(Omega_m, Omega_n).
 
-Two discretizations of V share the package; only alpha picks one.
+Two discretizations of V share the package; only alpha picks one
+(``boundary_form``).  ``frozen_rule`` builds what every Riesz evaluation
+of one run shares: the volume quadrature, or None in the boundary form.
 
 Boundary form, alpha <= BOUNDARY_ALPHA_MAX = 3/2.  Since
 Laplacian(phi) = |z|^{-alpha} for phi = |z|^{2-alpha} / ((2-alpha)(d-alpha)),
@@ -120,6 +122,11 @@ __all__ = [
 # |S_n - S_c| misses the exact value in 12 of 12 cells.
 BOUNDARY_ALPHA_MAX = 1.5
 
+
+def boundary_form(params: EnergyParams) -> bool:
+    """Whether V is evaluated in the boundary form; alpha alone decides."""
+    return params.alpha <= BOUNDARY_ALPHA_MAX
+
 # Element budget of each block buffer of the pair matrix (~64 MB per
 # buffer; a value sum holds two, a field three).
 _BLOCK_ELEMENTS = 1 << 23
@@ -198,6 +205,12 @@ class VolumeQuadrature:
              + self.s[None, :, None] * r[:, None, None] * g.nodes[:, None, :])
         W = (self.s ** (d - 1) * self.v)[None, :] * (r ** d * g.weights)[:, None]
         return np.ascontiguousarray(X.reshape(-1, d)), np.ascontiguousarray(W.reshape(-1))
+
+
+def frozen_rule(obj, params: EnergyParams) -> "VolumeQuadrature | None":
+    """The rule that every Riesz evaluation of one run shares: the volume
+    form's quadrature built for obj, None in the boundary form."""
+    return None if boundary_form(params) else VolumeQuadrature.build(obj)
 
 
 def _components(obj):
@@ -448,7 +461,7 @@ def riesz_sums(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
     """The two level sums of V over the union of shapes that
     riesz_estimate combines: (S_n, S_c) in the boundary form, the pair
     sums at (h, h/2) in the volume form."""
-    if params.alpha <= BOUNDARY_ALPHA_MAX:
+    if boundary_form(params):
         return [boundary_sum(Y, N, Y, N, params.alpha)
                 for Y, N in (_boundary_cloud(shapes, coarse)
                              for coarse in (False, True))]
@@ -460,7 +473,7 @@ def riesz_sums(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
 
 def riesz_estimate(sums, params: EnergyParams):
     """(value, error bar) from riesz_sums, or from differences of them."""
-    if params.alpha <= BOUNDARY_ALPHA_MAX:
+    if boundary_form(params):
         return sums[0], abs(sums[0] - sums[1])
     return richardson(sums[0], sums[1], params.d, params.alpha)
 
@@ -469,7 +482,7 @@ def riesz_value(shapes, params: EnergyParams, vq: VolumeQuadrature | None) -> fl
     """V over the union of shapes as the optimizer minimizes it: S_n in
     the boundary form (no coarse level), the Richardson value in the
     volume form."""
-    if params.alpha <= BOUNDARY_ALPHA_MAX:
+    if boundary_form(params):
         Y, N = _boundary_cloud(shapes)
         return boundary_sum(Y, N, Y, N, params.alpha)
     return riesz_estimate(riesz_sums(shapes, params, vq), params)[0]
@@ -484,7 +497,7 @@ def riesz_gradient(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
     dV/dr_J = 2 sum_k [(d/r_J) W_Jk phi_Jk + W_Jk s_k (theta_J . G_Jk)],
     dV/dc_m = 2 sum_{a in m} W_a G_a.
     """
-    if params.alpha <= BOUNDARY_ALPHA_MAX:
+    if boundary_form(params):
         return _boundary_gradient(shapes, params.alpha)
     if vq is None:
         vq = VolumeQuadrature.build(Configuration(tuple(shapes)))
@@ -604,7 +617,7 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
         raise OverlapError(
             "components must have disjoint bounding spheres "
             f"(gap {gap:.3e})")
-    if params.alpha <= BOUNDARY_ALPHA_MAX:
+    if boundary_form(params):
         (YA, NA), (YB, NB) = (_boundary_cloud((s,)) for s in (A, B))
         if YB.tobytes() < YA.tobytes():
             YA, NA, YB, NB = YB, NB, YA, NA
@@ -630,7 +643,7 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
     """
     _check_alpha(params)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if params.alpha <= BOUNDARY_ALPHA_MAX:
+    if boundary_form(params):
         Y, N = _boundary_cloud(_components(obj))
         vals = np.empty(len(pts))
         for t, pt in enumerate(pts):
@@ -662,8 +675,8 @@ def total_energy(config, params: EnergyParams,
     if isinstance(config, StarShape):
         config = Configuration((config,))
     config.validate()
-    if vq is None and params.alpha > BOUNDARY_ALPHA_MAX:
-        vq = VolumeQuadrature.build(config)
+    if vq is None:
+        vq = frozen_rule(config, params)
     comps = config.components
     per = math.fsum(weighted_perimeter(s, params) for s in comps)
     selfs = [riesz_self(s, params, vq) for s in comps]

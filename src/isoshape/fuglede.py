@@ -47,7 +47,7 @@ from numpy.polynomial.legendre import Legendre
 
 from .energy import (
     RieszResult,
-    VolumeQuadrature,
+    frozen_rule,
     riesz_estimate,
     riesz_sums,
     weighted_perimeter,
@@ -256,7 +256,7 @@ def riesz_deficit(pert: Perturbation, R: float | None = None,
     r_b = (volume(shape) / unit_ball_volume(g.d)) ** (1.0 / g.d)
     ball = make_ball(r_b, np.zeros(g.d), g)
     params = EnergyParams(d=g.d, p=pert.p, alpha=alpha)
-    vq = VolumeQuadrature.build(shape)
+    vq = frozen_rule(shape, params)
     s_shape = riesz_sums((shape,), params, vq)
     s_ball = riesz_sums((ball,), params, vq)
     value, error = riesz_estimate([s_ball[0] - s_shape[0],

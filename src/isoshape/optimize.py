@@ -7,7 +7,7 @@ Gradients are the exact derivatives of the discrete energy: the
 perimeter part differentiates the surface quadrature sum through the
 finite-difference tangential gradient operators (using their exact
 adjoints), and the Riesz part is ``energy.riesz_gradient``.  In the
-boundary form (alpha <= BOUNDARY_ALPHA_MAX) that differentiates the
+boundary form (``energy.boundary_form``) that differentiates the
 boundary sum S_n over the union of all components' boundary nodes: one
 pass gives dS/dy_i and dS/dN_i, which are chained through
 y_i = c + r_i theta_i and, for the tangential part of N_i, through the
@@ -27,6 +27,13 @@ out the k^2 stiffness of high angular modes.  The operator is assembled
 from the grid's own tangential stencils (``SphereGrid.grad_components``
 applied to the columns of the identity), so u^T (M + D^T M D) u is
 the H^1 norm that ``asphericity`` measures.
+
+In the boundary form the descent moves only within the band of angular
+modes that the tangential stencils resolve (``_band_limited``), and a
+candidate with a radius on the floor r_min is rejected: the
+fragmentation descents at gamma = 100 pinch their components there, and
+the clamp would leave the band.  The volume form keeps the unrestricted
+search, so its descents are those of the code before the boundary form.
 
 The gamma <-> m scaling maps and the energy identity they satisfy,
 
@@ -48,8 +55,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .energy import (
-    BOUNDARY_ALPHA_MAX,
+    EnergyBreakdown,
     VolumeQuadrature,
+    boundary_form,
+    frozen_rule,
     perimeter_gradient,
     riesz_gradient,
     riesz_value,
@@ -127,7 +136,12 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Outcome of one minimization."""
+    """Outcome of one minimization.
+
+    ``breakdown`` is the total_energy of the final configuration at the
+    rule the run minimized with; energy, perimeter, riesz and volume are
+    its terms.  Failed sweep rows have none.
+    """
 
     gamma: float
     p: float
@@ -141,6 +155,7 @@ class SweepRecord:
     asphericity: float
     iterations: int
     converged: bool
+    breakdown: EnergyBreakdown | None = None
 
 
 SWEEP_CSV_HEADER = ("gamma,p,alpha,d,energy,perimeter,riesz,volume,"
@@ -379,43 +394,52 @@ EPS_LAM = 1e-8
 # mass from the quadrature while the true energy grows.  Candidates
 # beyond the cap are outside the class of shapes the discrete model
 # resolves and are rejected like overlapping ones.
-#
-# In the boundary form the slope |r_b - r_a| / arc(a, b) between adjacent
-# nodes is capped too.  The central stencils that build the boundary
-# normals (and the perimeter) are blind to the alternating mode
-# r_j = (-1)^j, which moves the boundary points but not the normals; at
-# gamma = 100 the boundary-form descent ran into that zigzag, with the
-# boundary sum 36% above the Monte Carlo value of the interpolated
-# shape.  The volume form sees the zigzag in its radial nodes and keeps
-# the stencil cap alone.
 SLOPE_LIMIT = 2.0
 
 
-def _node_slope(s: StarShape) -> float:
-    """Largest |r_b - r_a| / arc(a, b) over adjacent grid nodes a, b."""
-    g, r = s.grid, s.radii
-    if g.d == 2:
-        jump = np.abs(np.diff(r, append=r[:1]))
-        return float(jump.max()) * g.n / (2.0 * math.pi)
-    R = r.reshape(g.shape2d)
-    polar = np.abs(np.diff(R, axis=0)) / np.diff(g.polar)[:, None]
-    azimuth = (np.abs(np.diff(R, axis=1, append=R[:, :1]))
-               * (g.azimuth.size / (2.0 * math.pi)) / np.sin(g.polar)[:, None])
-    return max(float(polar.max()), float(azimuth.max()))
-
-
 def _resolved(config: Configuration, params: EnergyParams) -> bool:
-    boundary = params.alpha <= BOUNDARY_ALPHA_MAX
+    # the boundary form also rejects radii clamped to the floor (module
+    # docstring)
+    pinch = boundary_form(params)
     for s in config.components:
         d = s.grid.d
-        cap = SLOPE_LIMIT * (volume(s) / unit_ball_volume(d)) ** (1.0 / d)
+        r_vol = (volume(s) / unit_ball_volume(d)) ** (1.0 / d)
         comps = s.grid.grad_components(s.radii)
         slope2 = sum(c * c for c in comps)
-        if float(slope2.max()) > cap ** 2:
+        if float(slope2.max()) > (SLOPE_LIMIT * r_vol) ** 2:
             return False
-        if boundary and _node_slope(s) > cap:
+        if pinch and float(s.radii.min()) <= s.r_min:
             return False
     return True
+
+
+def _band_limited(config: Configuration, v: np.ndarray) -> np.ndarray:
+    """v with the radial blocks cut to the Fourier modes |k| <= m // 3 of
+    the uniform axis (m = n angles in d=2, 2n azimuths in d=3).
+
+    The boundary form descends in this band only.  The central stencils
+    of ``SphereGrid.grad_components`` differentiate mode k with the
+    factor (8 sin(kh) - sin(2kh)) / (6h) in place of k: at least 62% of
+    k for k <= m/3, and 0 at k = m/2, where r_j = (-1)^j moves the
+    boundary points but neither the normals nor the perimeter.
+    Above the band the discrete perimeter misses most of the cost of a
+    ripple (d=2 n=20, mode 9: 1.6e-4 against 2.4e-3 at n=200, for
+    eps = 1e-2), so the ball is a saddle of the discrete E at gamma = 1
+    and unfiltered descents end in grid-scale zigzags.  The cut is an
+    orthogonal projection that commutes with the H^1 metric, which is
+    invariant under shifts along the uniform axis.
+    """
+    out = v.copy()
+    i0 = 0
+    for s in config.components:
+        g = s.grid
+        i1 = i0 + s.radii.size
+        m = g.n if g.d == 2 else g.azimuth.size
+        spec = np.fft.rfft(out[i0:i1].reshape(-1, m), axis=1)
+        spec[:, m // 3 + 1:] = 0.0
+        out[i0:i1] = np.fft.irfft(spec, m, axis=1).ravel()
+        i0 = i1 + g.d
+    return out
 
 
 def _objective(config: Configuration, params: EnergyParams,
@@ -452,10 +476,13 @@ def minimize(init: Configuration, params: EnergyParams,
         raise ValidationError(f"initial volume {vol0:.6f} outside [0.5, 2]")
     projection = opts.mode == "projection"
     lam = 0.0 if projection else opts.lam
-    vq = VolumeQuadrature.build(init)
+    vq = frozen_rule(init, params)
+    band = boundary_form(params)
     precond = _Preconditioner()
 
-    config = _project_volume(init) if projection else init
+    config = _rebuild(init, _band_limited(init, _pack(init))) if band else init
+    if projection:
+        config = _project_volume(config)
     f = _objective(config, params, vq, lam)
     converged = False
     iterations = 0
@@ -475,6 +502,9 @@ def minimize(init: Configuration, params: EnergyParams,
             smooth = math.hypot(vol - 1.0, EPS_LAM)
             g = g + lam * ((vol - 1.0) / smooth) * n_vec
             kappa = lam * EPS_LAM ** 2 / smooth ** 3
+        if band:
+            g = _band_limited(config, g)
+            n_vec = _band_limited(config, n_vec)
 
         # preconditioned direction; in projection mode kept tangent to the
         # constraint, in penalty mode the penalty curvature along the volume
@@ -539,7 +569,7 @@ def minimize(init: Configuration, params: EnergyParams,
         energy=bd.total, perimeter=bd.weighted_perimeter, riesz=bd.riesz,
         volume=bd.volume, n_components=config.n_components,
         asphericity=asphericity(config), iterations=iterations,
-        converged=converged)
+        converged=converged, breakdown=bd)
     return config, record
 
 

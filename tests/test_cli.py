@@ -107,6 +107,16 @@ def test_minimize_round_trip(tmp_path):
     assert doc["record"]["converged"] is True
 
 
+def test_minimize_breakdown_is_the_record(tmp_path):
+    # alpha > 3/2 runs on the volume rule; minimize.json's breakdown is
+    # the record's, at the rule the run minimized with
+    code = main(["minimize", "--n", "16", "--alpha", "1.75",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "minimize.json").read_text())
+    assert doc["breakdown"]["total"] == doc["record"]["energy"]
+
+
 def test_sweep_byte_reproducible(tmp_path):
     fp = tmp_path / "run.json"
     fp.write_text(json.dumps({"max_iter": 120, "n": 24}))

@@ -154,6 +154,32 @@ def test_interaction_far_field_limit():
         assert dist * val == pytest.approx(area * area, rel=1e-3)
 
 
+@pytest.mark.parametrize("d,alpha,n", [(2, 1.75, 96), (3, 2.5, 12)])
+def test_interaction_far_field_limit_volume_form(d, alpha, n):
+    # alpha > 3/2: the volume rule; D^alpha I -> |A| |B| far apart
+    params = EnergyParams(d=d, p=2.0, alpha=alpha)
+    grid = make_grid(d, n)
+    a = make_ball(0.25, np.zeros(d), grid)
+    vol = unit_ball_volume(d) * 0.25 ** d
+    for dist in (20.0, 40.0, 80.0):
+        c = np.zeros(d)
+        c[0] = dist
+        b = make_ball(0.25, c, grid)
+        val = interaction(a, b, params)
+        assert val == interaction(b, a, params)
+        assert dist ** alpha * val == pytest.approx(vol * vol, rel=1e-3)
+
+
+def test_interaction_matches_mc_cross_term_volume_form():
+    from isoshape.oracle import mc_riesz
+    params = EnergyParams(d=2, p=2.0, alpha=1.75)
+    a, b = _ball(2, 0.25), _ball(2, 0.25, c=[4.0, 0.0])
+    quad = interaction(a, b, params,
+                       VolumeQuadrature.build(Configuration((a, b))))
+    est, se = mc_riesz(a, b, 1.75, 1_000_000, 42)
+    assert abs(quad - est) <= 3 * se
+
+
 def test_interaction_matches_mc_cross_term():
     # Disjoint-ball cross-check against MC, with R=0.25 so the
     # quadrupole correction ~ alpha R^2 (alpha+2-d) / ((d+2) D^2) sits
@@ -181,6 +207,21 @@ def test_potential_far_field():
     x = np.array([60.0, 0.0])
     assert 60.0 * potential(ball, x, params) == pytest.approx(
         math.pi, rel=1e-3)
+
+
+def test_potential_closed_forms_volume_form():
+    # alpha > 3/2: the volume rule; v(0) = |S^1| R^(d-alpha) / (d-alpha)
+    # at the center and v(x) -> |B| / |x|^alpha far away
+    params = EnergyParams(d=2, p=2.0, alpha=1.75)
+    ball = _ball(2, 1.0, n=128)
+    assert potential(ball, np.zeros(2), params) == pytest.approx(
+        2 * math.pi / 0.25, rel=2e-3)
+    for d, n, alpha in ((2, 96, 1.75), (3, 12, 2.5)):
+        params = EnergyParams(d=d, p=2.0, alpha=alpha)
+        x = np.zeros(d)
+        x[0] = 60.0
+        v = potential(make_ball(1.0, np.zeros(d), make_grid(d, n)), x, params)
+        assert 60.0 ** alpha * v == pytest.approx(unit_ball_volume(d), rel=1e-3)
 
 
 def test_potential_matches_mc_at_boundary():

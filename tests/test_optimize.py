@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isoshape.energy import VolumeQuadrature, total_energy
+from isoshape.energy import VolumeQuadrature, frozen_rule, total_energy
 from isoshape.errors import (
     ConfigError,
     CriticalExponentError,
@@ -77,6 +77,97 @@ def test_gradient_matches_finite_differences_d3():
     assert gr[13] == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
     fd = _fd_energy(cfg, params, vq, 0, "c", 2, 1e-5)
     assert gc[2] == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
+
+
+@pytest.mark.parametrize("d,n,alpha,seed", [(2, 32, 1.75, 3), (3, 10, 2.5, 8)])
+def test_gradient_matches_finite_differences_volume_form(d, n, alpha, seed):
+    # alpha > 3/2 runs on the volume rule; same checks as the tests above
+    rng = np.random.default_rng(seed)
+    params = EnergyParams(d=d, p=2.0, alpha=alpha, gamma=0.4)
+    shape = random_star(rng, n=n, d=d, amp=0.06, kmax=2)
+    cfg = Configuration((shape,))
+    vq = VolumeQuadrature.build(cfg)
+    (gr, gc), = shape_gradient(cfg, params, vq)
+    for j in (0, 7, 13):
+        fd = _fd_energy(cfg, params, vq, 0, "r", j, 1e-5)
+        assert gr[j] == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
+    for k in range(d):
+        fd = _fd_energy(cfg, params, vq, 0, "c", k, 1e-5)
+        assert gc[k] == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
+
+
+def test_volume_form_descent_frozen_reference():
+    # alpha = 1.75 descends on the volume rule; iterations and final
+    # shape are frozen from the code before the boundary form existed
+    params = EnergyParams(d=2, p=2.0, alpha=1.75, gamma=0.01)
+    init = build_initial_config(params, make_grid(2, 20),
+                                ("perturbed-ball", 0.2, 3))
+    config, rec = minimize(init, params, OptimizerOptions(max_iter=300))
+    assert (rec.iterations, rec.converged) == (44, True)
+    s, = config.components
+    assert s.radii.tolist() == [
+        0.5641876511216813, 0.5641878667733906, 0.56418833937545,
+        0.564188825763709, 0.5641892495206647, 0.5641895853305252,
+        0.5641898965299114, 0.564190333518769, 0.5641908872601207,
+        0.56419130634604, 0.564191438971299, 0.5641913063460395,
+        0.5641908872601207, 0.5641903335187681, 0.5641898965299117,
+        0.5641895853305244, 0.5641892495206647, 0.5641888257637083,
+        0.56418833937545, 0.5641878667733904]
+    assert s.center.tolist() == [1.5268240150755796e-06, -2.901043659811073e-17]
+
+
+@pytest.mark.parametrize("d,n,alpha", [(2, 16, 1.0), (2, 16, 1.6), (3, 8, 2.5)])
+def test_record_breakdown_is_the_reported_energy(d, n, alpha):
+    # the breakdown is taken at the rule the run froze, not at a fresh one
+    params = EnergyParams(d=d, p=2.0, alpha=alpha, gamma=30.0)
+    init = build_initial_config(params, make_grid(d, n),
+                                ("perturbed-ball", 0.2, 2))
+    config, rec = minimize(init, params, OptimizerOptions(max_iter=15))
+    bd = rec.breakdown
+    assert bd == total_energy(config, params, frozen_rule(init, params))
+    assert (bd.total, bd.weighted_perimeter, bd.riesz, bd.volume) == (
+        rec.energy, rec.perimeter, rec.riesz, rec.volume)
+
+
+def test_band_limit_commutes_with_the_h1_metric():
+    from isoshape.optimize import _Preconditioner, _band_limited
+    rng = np.random.default_rng(5)
+    for d, n in ((2, 20), (2, 21), (3, 8)):
+        grid = make_grid(d, n)
+        shape = StarShape(grid=grid, center=np.zeros(d),
+                          radii=np.ones(grid.n_nodes))
+        cfg = Configuration((shape,))
+        v = rng.standard_normal(grid.n_nodes + d)
+        cut = _band_limited(cfg, v)
+        # centers pass through; the radial block keeps |k| <= m // 3
+        assert np.array_equal(cut[-d:], v[-d:])
+        m = n if d == 2 else 2 * n
+        spec = np.fft.rfft(cut[:-d].reshape(-1, m), axis=1)
+        assert np.abs(spec[:, m // 3 + 1:]).max() < 1e-12
+        np.testing.assert_allclose(_band_limited(cfg, cut), cut, atol=1e-14)
+        solve = _Preconditioner().solve
+        u = v[:-d]
+        lhs = _band_limited(cfg, np.append(solve(grid, u), np.zeros(d)))
+        rhs = solve(grid, _band_limited(cfg, v)[:-d])
+        np.testing.assert_allclose(lhs[:-d], rhs, atol=1e-12)
+
+
+def test_boundary_descent_returns_the_ball_not_a_zigzag():
+    # d=2 n=20 gamma=1: the discrete E of the boundary form is lower on
+    # grid-scale ripples than on the ball, because the central stencils
+    # barely see them; the descent runs below those modes and recovers
+    # the ball, from the mode-3 start and from an alternating (-1)^j one
+    grid = make_grid(2, 20)
+    params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=1.0)
+    ball = minimize(build_initial_config(params, grid), params)[1]
+    zigzag = StarShape(grid=grid, center=np.zeros(2), radii=(
+        ball.volume / math.pi) ** 0.5 * (1.0 + 0.05 * (-1.0) ** np.arange(20)))
+    for init in (build_initial_config(params, grid, ("perturbed-ball", 0.2, 3)),
+                 Configuration((zigzag,))):
+        _, rec = minimize(init, params)
+        assert rec.converged
+        assert rec.asphericity <= 1e-3
+        assert rec.energy == pytest.approx(ball.energy, rel=1e-9)
 
 
 @pytest.mark.parametrize("d,n,alpha", [(2, 24, 1.0), (3, 8, 2.5)])
