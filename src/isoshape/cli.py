@@ -100,6 +100,8 @@ class RunConfig:
             raise ConfigError(f"key 'n': grid resolution {self.n}; need n >= 8")
         if any(g <= 0 for g in self.gammas):
             raise ConfigError("key 'gammas': every gamma must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"key 'seed': seed {self.seed}; need seed >= 0")
 
 
 def _coerce(key: str, value, kind):

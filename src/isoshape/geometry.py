@@ -374,7 +374,6 @@ def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
 
 def _bilinear(shape: StarShape, phi, psi):
     g = shape.grid
-    R = shape.radii.reshape(g.shape2d)
     pol, az = g.polar, g.azimuth
     na = az.size
     dpsi = 2.0 * math.pi / na
@@ -383,29 +382,35 @@ def _bilinear(shape: StarShape, phi, psi):
     i = np.clip(i, 0, pol.size - 2)
     t = (phi - pol[i]) / (pol[i + 1] - pol[i])
     t = np.clip(t, 0.0, 1.0)
-    # azimuth interval with periodic wrap
-    j = np.floor(psi / dpsi).astype(int) % na
-    u = psi / dpsi - np.floor(psi / dpsi)
+    # azimuth interval with periodic wrap; nodes by flat index i na + j
+    u = psi / dpsi
+    j = np.floor(u)
+    u -= j
+    j = j.astype(int) % na
     jp = (j + 1) % na
-    r00 = R[i, j]
-    r01 = R[i, jp]
-    r10 = R[i + 1, j]
-    r11 = R[i + 1, jp]
+    R = shape.radii
+    i *= na
+    r00 = R[i + j]
+    r01 = R[i + jp]
+    i += na
+    r10 = R[i + j]
+    r11 = R[i + jp]
     return (1 - t) * ((1 - u) * r00 + u * r01) + t * ((1 - u) * r10 + u * r11)
 
 
 def membership(shape: StarShape, pts) -> np.ndarray:
-    """Point-in-set test |x - c| <= r_interp(angle(x - c))."""
+    """Point-in-set test |x - c| <= r_interp(angle(x - c)).
+
+    One pass over the coordinate columns: the center itself has no
+    direction, so it is divided by 1 and counted inside.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    y = pts - shape.center
-    rho = np.linalg.norm(y, axis=1)
-    out = np.empty(rho.size, dtype=bool)
+    cols = [pts[:, k] - c for k, c in enumerate(shape.center)]
+    rho = np.sqrt(sum(y * y for y in cols))
     at_center = rho == 0.0
-    out[at_center] = True
-    if np.any(~at_center):
-        dirs = y[~at_center] / rho[~at_center, None]
-        out[~at_center] = rho[~at_center] <= radial_at_directions(shape, dirs)
-    return out
+    safe = np.where(at_center, 1.0, rho)
+    dirs = np.stack([y / safe for y in cols])
+    return (rho <= radial_at_directions(shape, dirs.T)) | at_center
 
 
 def config_membership(config: Configuration, pts) -> np.ndarray:

@@ -10,12 +10,18 @@ times h^2 (exact raster arithmetic), and perimeters are edge sums
 where the anisotropy factor corrects the axis-aligned overcount (a
 smooth boundary crossing direction phi is counted with weight
 |cos phi| + |sin phi|, averaging 4/pi on a circle; the frozen constant
-is calibrated on rasterized balls).  The Monte Carlo oracle estimates
+is calibrated on rasterized balls).  Every raster lives on one lattice
+snapped to multiples of h, and its kernels work on the 1-D vectors of
+cell centers and edge positions: set predicates see the broadcastable
+centers x[:, None], y[None, :], and the exposed edges of a mask are
+mask[:-1] ^ mask[1:] on the vertical and horizontal edge lattices, with
+midpoint radii from the same vectors.  The Monte Carlo oracle estimates
 the Riesz energy V(A,B) = int_A int_B |x-y|^(-alpha) with the exact
 singular kernel over uniform point pairs: directions are drawn by
 angular rejection under the envelope r_max, radii by the exact inverse
 CDF rho = s^(1/d) r(theta), so samples are exactly uniform over the
-interpolated set.
+interpolated set.  Samples are held as one contiguous row per
+coordinate.
 
 The checkers quantify inequalities the analysis relies on: the
 symmetric-difference Lipschitz bound |V(E) - V(F)| <= C |E delta F|
@@ -33,6 +39,7 @@ margins are signed with >= 0 meaning the trial passed with room.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,14 +136,29 @@ class RasterSet:
         cy = self.y0 + (np.arange(ny) + 0.5) * self.h
         return cx, cy
 
-    def occupied_centers(self) -> np.ndarray:
-        ii, jj = np.nonzero(self.mask)
-        return np.stack([self.x0 + (ii + 0.5) * self.h,
-                         self.y0 + (jj + 0.5) * self.h], axis=1)
-
 
 def _snap(v: float, h: float) -> float:
     return math.floor(v / h) * h
+
+
+def raster_from_predicate(pred, bounds, h: float) -> RasterSet:
+    """Raster of {x : pred(x)} over bounds ((xmin, xmax), (ymin, ymax)).
+
+    The lattice is snapped to multiples of h.  pred receives the cell
+    centers as broadcastable coordinates x[:, None] and y[None, :] and
+    returns a boolean array that broadcasts to (nx, ny); it builds the
+    star-shape rasters and the non-star test sets (half-planes, squares)
+    of the checkers.
+    """
+    (xmin, xmax), (ymin, ymax) = bounds
+    x0, y0 = _snap(xmin, h), _snap(ymin, h)
+    nx = int(math.ceil((xmax - x0) / h))
+    ny = int(math.ceil((ymax - y0) / h))
+    cx = x0 + (np.arange(nx) + 0.5) * h
+    cy = y0 + (np.arange(ny) + 0.5) * h
+    mask = np.broadcast_to(np.asarray(pred(cx[:, None], cy[None, :]),
+                                      dtype=bool), (nx, ny))
+    return RasterSet(h=h, x0=x0, y0=y0, mask=mask)
 
 
 def rasterize(obj, h: float, pad: float | None = None) -> RasterSet:
@@ -148,6 +170,8 @@ def rasterize(obj, h: float, pad: float | None = None) -> RasterSet:
     """
     if isinstance(obj, StarShape):
         obj = Configuration((obj,))
+    if obj.n_components == 0:
+        raise ValidationError("cannot rasterize an empty configuration")
     if obj.components[0].grid.d != 2:
         raise ValidationError("rasterize supports d=2 only")
     if not h > 0:
@@ -160,36 +184,21 @@ def rasterize(obj, h: float, pad: float | None = None) -> RasterSet:
         rmax = float(s.radii.max())
         lo = np.minimum(lo, s.center - rmax)
         hi = np.maximum(hi, s.center + rmax)
-    x0 = _snap(lo[0] - pad, h)
-    y0 = _snap(lo[1] - pad, h)
-    nx = int(math.ceil((hi[0] + pad - x0) / h))
-    ny = int(math.ceil((hi[1] + pad - y0) / h))
-    cx = x0 + (np.arange(nx) + 0.5) * h
-    cy = y0 + (np.arange(ny) + 0.5) * h
-    pts = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    mask = config_membership(obj, pts).reshape(nx, ny)
-    rs = RasterSet(h=h, x0=x0, y0=y0, mask=mask)
+
+    def pred(x, y):
+        # cell centers as an (N, 2) view onto contiguous coordinate rows
+        pts = np.empty((2, x.size, y.size))
+        pts[0] = x
+        pts[1] = y
+        inside = config_membership(obj, pts.reshape(2, -1).T)
+        return inside.reshape(x.size, y.size)
+
+    rs = raster_from_predicate(
+        pred, ((lo[0] - pad, hi[0] + pad), (lo[1] - pad, hi[1] + pad)), h)
     if rs.count < 100:
         raise ResolutionError(
             f"raster too coarse: {rs.count} occupied cells (< 100)")
     return rs
-
-
-def raster_from_predicate(pred, bounds, h: float) -> RasterSet:
-    """Raster of {x : pred(x)} over bounds ((xmin, xmax), (ymin, ymax)).
-
-    pred receives an (N, 2) array and returns a boolean vector; used to
-    build non-star test sets (half-planes, squares) for the checkers.
-    """
-    (xmin, xmax), (ymin, ymax) = bounds
-    x0, y0 = _snap(xmin, h), _snap(ymin, h)
-    nx = int(math.ceil((xmax - x0) / h))
-    ny = int(math.ceil((ymax - y0) / h))
-    cx = x0 + (np.arange(nx) + 0.5) * h
-    cy = y0 + (np.arange(ny) + 0.5) * h
-    pts = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    mask = np.asarray(pred(pts), dtype=bool).reshape(nx, ny)
-    return RasterSet(h=h, x0=x0, y0=y0, mask=mask)
 
 
 def _exposed_edges(rs: RasterSet):
@@ -258,6 +267,9 @@ def symmetric_difference_area(a: RasterSet, b: RasterSet) -> float:
 # Monte Carlo Riesz energy
 # ----------------------------------------------------------------------
 
+# Samplers return draw(rng, m) -> (d, m) array, one contiguous row per
+# coordinate, together with the measure of the sampled set.
+
 def _shape_sampler(shape: StarShape):
     g = shape.grid
     d = g.d
@@ -273,20 +285,21 @@ def _shape_sampler(shape: StarShape):
         r_max = float(shape.radii.max())
 
     def draw(rng, m):
-        out = np.empty((m, d))
+        out = np.empty((d, m))
         have = 0
         while have < m:
             k = max(m - have, 1024)
-            dirs = rng.standard_normal((k, d))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            r_dir = radial_at_directions(shape, dirs)
+            dirs = np.ascontiguousarray(rng.standard_normal((k, d)).T)
+            dirs /= np.sqrt(sum(row * row for row in dirs))
+            r_dir = radial_at_directions(shape, dirs.T)
             # sector mass scales like r^d, hence the power in the
             # acceptance test; the radial inverse CDF is s^(1/d) r
             keep = rng.random(k) <= (r_dir / r_max) ** d
             s = rng.random(k)
             idx = np.nonzero(keep)[0][:m - have]
             rho = s[idx] ** (1.0 / d) * r_dir[idx]
-            out[have:have + idx.size] = shape.center + rho[:, None] * dirs[idx]
+            for c, row, dst in zip(shape.center, dirs, out):
+                np.add(c, rho * row[idx], out=dst[have:have + idx.size])
             have += idx.size
         return out
 
@@ -294,11 +307,16 @@ def _shape_sampler(shape: StarShape):
 
 
 def _raster_sampler(rs: RasterSet):
-    cells = rs.occupied_centers()
+    ii, jj = np.nonzero(rs.mask)
+    cells = (rs.x0 + (ii + 0.5) * rs.h, rs.y0 + (jj + 0.5) * rs.h)
 
     def draw(rng, m):
-        idx = rng.integers(cells.shape[0], size=m)
-        return cells[idx] + (rng.random((m, 2)) - 0.5) * rs.h
+        idx = rng.integers(ii.size, size=m)
+        jitter = rng.random((m, 2))
+        out = np.empty((2, m))
+        for k in range(2):
+            np.add(cells[k][idx], (jitter[:, k] - 0.5) * rs.h, out=out[k])
+        return out
 
     return draw, rs.volume
 
@@ -308,21 +326,31 @@ def _sampler(obj):
         return _raster_sampler(obj)
     if isinstance(obj, StarShape):
         return _shape_sampler(obj)
-    if isinstance(obj, Configuration):
-        parts = [_shape_sampler(s) for s in obj.components]
-        vols = np.array([v for _, v in parts])
-        total = float(vols.sum())
-        probs = vols / total
+    parts = [_shape_sampler(s) for s in obj.components]
+    vols = np.array([v for _, v in parts])
+    total = float(vols.sum())
+    probs = vols / total
 
-        def draw(rng, m):
-            counts = rng.multinomial(m, probs)
-            blocks = [p_draw(rng, c) for (p_draw, _), c in zip(parts, counts)
-                      if c > 0]
-            pts = np.concatenate(blocks)
-            return pts[rng.permutation(m)]
+    def draw(rng, m):
+        counts = rng.multinomial(m, probs)
+        blocks = [p_draw(rng, c) for (p_draw, _), c in zip(parts, counts)
+                  if c > 0]
+        pts = np.concatenate(blocks, axis=1)
+        return pts[:, rng.permutation(m)]
 
-        return draw, total
-    raise ValidationError(f"cannot sample from {type(obj).__name__}")
+    return draw, total
+
+
+def _dimension(obj) -> int:
+    if isinstance(obj, RasterSet):
+        return 2
+    if isinstance(obj, StarShape):
+        return obj.grid.d
+    if isinstance(obj, Configuration) and obj.n_components:
+        return obj.components[0].grid.d
+    raise ValidationError(f"cannot sample from {type(obj).__name__} "
+                          "(need a RasterSet, a StarShape or a non-empty "
+                          "Configuration)")
 
 
 def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
@@ -331,21 +359,27 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
 
     set_b = None estimates the self-energy V(A) (independent uniform
     pairs from A).  Returns (estimate, standard error); bit-identical
-    for identical seeds.
+    for identical seeds.  The sample count, the seed, the dimensions and
+    alpha are validated before any sampler is built.
     """
+    for name, v in (("n_samples", n_samples), ("seed", seed)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                or v < 0:
+            raise ValidationError(f"{name}={v!r}; need an integer >= 0")
     if n_samples < 1_000_000:
         raise ValidationError(
             f"n_samples={n_samples}; the oracle contract requires >= 1e6")
+    d = _dimension(set_a)
+    if set_b is not None and _dimension(set_b) != d:
+        raise ValidationError(
+            f"sets of dimension {d} and {_dimension(set_b)}; need equal")
+    if not 0.0 < alpha < d:
+        raise ValidationError(f"alpha={alpha} outside (0, {d})")
     draw_a, vol_a = _sampler(set_a)
     if set_b is None:
         draw_b, vol_b = draw_a, vol_a
     else:
         draw_b, vol_b = _sampler(set_b)
-    d = 2 if isinstance(set_a, RasterSet) else (
-        set_a.grid.d if isinstance(set_a, StarShape)
-        else set_a.components[0].grid.d)
-    if not 0.0 < alpha < d:
-        raise ValidationError(f"alpha={alpha} outside (0, {d})")
     ss = np.random.SeedSequence(seed)
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     children = ss.spawn(n_chunks)
@@ -355,9 +389,9 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
         m = min(_MC_CHUNK, left)
         left -= m
         rng = np.random.default_rng(child)
-        xa = draw_a(rng, m)
-        xb = draw_b(rng, m)
-        k = np.sum((xa - xb) ** 2, axis=1) ** (-0.5 * alpha)
+        diff = draw_a(rng, m)
+        diff -= draw_b(rng, m)
+        k = sum(row * row for row in diff) ** (-0.5 * alpha)
         s1.append(float(k.sum()))
         s2.append(float((k * k).sum()))
     total1 = math.fsum(s1)
@@ -378,23 +412,36 @@ def check_rel_isop(rs: RasterSet, j: int):
 
     Returns (lhs, per, ratio) with lhs = min(|Omega cap A|,
     |A minus Omega|)^((d-1)/d), per = P(Omega; int A) and ratio = lhs / per
-    (zero when lhs is zero).
+    (zero when lhs is zero).  Only the sub-box of cells within r_out + h
+    of the origin, plus one margin cell, is read: every cell and edge
+    outside it lies beyond r_out.  Exposed edges are mask[:-1] ^ mask[1:]
+    on the two edge lattices (vertical edges at x0 + k h, horizontal
+    edges at y0 + k h, the mask padded with empty cells), and an edge
+    counts when its midpoint radius lies strictly inside (r_in, r_out).
     """
     r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
+    h = rs.h
     cx, cy = rs.cell_centers()
+    reach = r_out + 2.0 * h
+    i0, i1 = np.searchsorted(cx, (-reach, reach))
+    j0, j1 = np.searchsorted(cy, (-reach, reach))
+    cx, cy = cx[i0:i1], cy[j0:j1]
+    sub = rs.mask[i0:i1, j0:j1]
     rho2 = cx[:, None] ** 2 + cy[None, :] ** 2
     in_annulus = (rho2 >= r_in * r_in) & (rho2 < r_out * r_out)
-    inter = int(np.count_nonzero(rs.mask & in_annulus)) * rs.h ** 2
+    inter = int(np.count_nonzero(sub & in_annulus)) * h ** 2
     area = math.pi * (r_out ** 2 - r_in ** 2)
     minus = max(area - inter, 0.0)
     lhs = min(inter, minus) ** 0.5
-    mids = _exposed_edges(rs)
-    if mids.shape[0]:
-        rr = np.linalg.norm(mids, axis=1)
-        per = EDGE_FACTOR * rs.h * int(np.count_nonzero(
-            (rr > r_in) & (rr < r_out)))
-    else:
-        per = 0.0
+    m = np.pad(sub, 1, constant_values=False)
+    xe = rs.x0 + np.arange(i0, i1 + 1) * h
+    ye = rs.y0 + np.arange(j0, j1 + 1) * h
+    edges = 0
+    for exposed, ex, ey in ((m[:-1, 1:-1] ^ m[1:, 1:-1], xe, cy),
+                            (m[1:-1, :-1] ^ m[1:-1, 1:], cx, ye)):
+        rr = np.sqrt(ex[:, None] ** 2 + ey[None, :] ** 2)
+        edges += int(np.count_nonzero(exposed & (rr > r_in) & (rr < r_out)))
+    per = EDGE_FACTOR * h * edges
     if per == 0.0:
         # cell-center counting resolves the relative volumes only to the
         # area of one boundary layer of cells; below that, a vanishing
@@ -624,11 +671,11 @@ def run_v_lipschitz(seed: int = 0, trials: int = 100, alpha: float = 1.0,
 
 
 def _halfplane_raster(angle: float, offset: float, r_out: float, h: float):
-    nrm = np.array([math.cos(angle), math.sin(angle)])
+    c, s = math.cos(angle), math.sin(angle)
 
-    def pred(pts):
-        return (pts @ nrm <= offset) & (np.linalg.norm(pts, axis=1)
-                                        <= 1.5 * r_out)
+    def pred(x, y):
+        return (x * c + y * s <= offset) & (np.sqrt(x * x + y * y)
+                                            <= 1.5 * r_out)
 
     b = 1.5 * r_out + 2 * h
     return raster_from_predicate(pred, ((-b, b), (-b, b)), h)

@@ -72,6 +72,8 @@ def test_parse_rejections(tmp_path):
         parse_config(["sweep", "--gammas", "1,abc"])
     with pytest.raises(ConfigError, match="'gammas'"):
         parse_config(["sweep", "--gammas=-1,1"])
+    with pytest.raises(ConfigError, match="'seed'"):
+        parse_config(["verify", "--seed", "-1"])
 
     fp.write_text(json.dumps({"mode": "penalty"}))
     with pytest.raises(ConfigError, match="'lam'"):

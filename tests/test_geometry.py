@@ -15,6 +15,8 @@ from isoshape.geometry import (
     load_configuration,
     make_ball,
     make_grid,
+    membership,
+    radial_at_directions,
     save_configuration,
     sphere_area,
     tangential_gradient,
@@ -153,6 +155,38 @@ def test_membership_ball_and_config():
                     [3.0, 0.4], [3.0, 0.6], [2.0, 0.0]])
     got = config_membership(cfg, pts)
     assert got.tolist() == [True, True, False, True, False, False]
+
+
+def _membership_reference(shape, pts):
+    """Row norms, then the radial test on the points off the center."""
+    y = pts - shape.center
+    rho = np.linalg.norm(y, axis=1)
+    out = np.empty(rho.size, dtype=bool)
+    at_center = rho == 0.0
+    out[at_center] = True
+    dirs = y[~at_center] / rho[~at_center, None]
+    out[~at_center] = rho[~at_center] <= radial_at_directions(shape, dirs)
+    return out
+
+
+@pytest.mark.parametrize("d, n", [(2, 48), (3, 10)])
+def test_membership_matches_norm_reference(d, n):
+    rng = np.random.default_rng(d)
+    g = make_grid(d, n)
+    shape = StarShape(grid=g, center=rng.uniform(-0.3, 0.3, d),
+                      radii=1.0 + 0.15 * rng.standard_normal(g.n_nodes))
+    pts = shape.center + rng.uniform(-1.4, 1.4, (200_000, d))
+    pts[::997] = shape.center                   # exactly at the center
+    on_nodes = np.arange(pts[1::991].shape[0]) % g.n_nodes
+    pts[1::991] = shape.center + shape.radii[on_nodes, None] * g.nodes[on_nodes]
+    got = membership(shape, pts)
+    ref = _membership_reference(shape, pts)
+    assert np.array_equal(got, ref)
+    assert got[::997].all()
+    assert 0.1 < got.mean() < 0.9
+    # a transposed (column-major) cloud gives the same answer
+    assert np.array_equal(membership(shape, np.ascontiguousarray(pts.T).T),
+                          ref)
 
 
 def test_configuration_json_round_trip(tmp_path):

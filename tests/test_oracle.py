@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import isoshape.oracle as OR
 from isoshape.errors import (
+    DegenerateAnnulusError,
     MassPreconditionError,
     OutOfBoundsError,
     ResolutionError,
     ValidationError,
 )
-from isoshape.geometry import dilate, make_ball, make_grid
+from isoshape.geometry import Configuration, dilate, make_ball, make_grid
 from isoshape.oracle import (
     EDGE_FACTOR,
     RasterSet,
@@ -38,9 +40,9 @@ def _disk_raster(R=1.0, h=0.005, pad=None):
 
 
 def _square_raster(x_lo=0.0, h=0.05):
-    def pred(pts):
-        return ((pts[:, 0] >= x_lo) & (pts[:, 0] <= x_lo + 1.0)
-                & (pts[:, 1] >= 0.0) & (pts[:, 1] <= 1.0))
+    def pred(x, y):
+        return ((x >= x_lo) & (x <= x_lo + 1.0)
+                & (y >= 0.0) & (y <= 1.0))
     return raster_from_predicate(
         pred, ((x_lo, x_lo + 1.0), (0.0, 1.0)), h)
 
@@ -77,6 +79,8 @@ def test_rasterize_guards():
         rasterize(make_ball(1.0, np.zeros(3), make_grid(3, 12)), 0.1)
     with pytest.raises(ValidationError):
         rasterize(make_ball(1.0, np.zeros(2), make_grid(2, 64)), -0.1)
+    with pytest.raises(ValidationError):
+        rasterize(Configuration(()), 0.1)
 
 
 def test_symmetric_difference_exact_cells():
@@ -107,6 +111,59 @@ def test_mc_riesz_deterministic_and_guarded():
         mc_riesz(disk, None, 0.5, 250_000, 7)
     with pytest.raises(ValidationError):
         mc_riesz(disk, None, 2.5, 1_000_000, 7)
+
+
+def test_mc_riesz_validates_before_sampling(monkeypatch):
+    disk = make_ball(1.0, np.zeros(2), make_grid(2, 32))
+    ball = make_ball(1.0, np.zeros(3), make_grid(3, 8))
+
+    def no_sampler(obj):
+        raise AssertionError("a sampler was built before validation")
+
+    monkeypatch.setattr(OR, "_sampler", no_sampler)
+    for args in ((disk, ball, 0.5, 1_000_000, 7),     # d=2 against d=3
+                 (ball, disk, 0.5, 1_000_000, 7),
+                 (disk, None, 0.5, 1.5e6, 7),         # not an integer
+                 (disk, None, 0.5, 1e6, 7),
+                 (disk, None, 0.5, True, 7),
+                 (disk, None, 0.5, 1_000_000, -1),    # seeds
+                 (disk, None, 0.5, 1_000_000, 1.5),
+                 (disk, None, 2.0, 1_000_000, 7),     # alpha outside (0, d)
+                 (disk, None, 0.0, 1_000_000, 7),
+                 (disk, None, math.nan, 1_000_000, 7),
+                 (Configuration(()), None, 0.5, 1_000_000, 7),
+                 ("disk", None, 0.5, 1_000_000, 7)):
+        with pytest.raises(ValidationError):
+            mc_riesz(*args)
+
+
+# (estimate, standard error) of mc_riesz, frozen bit for bit: any change
+# to the draw order of the random stream or to the arithmetic moves them
+MC_FROZEN = {
+    "disk": (11.838976239330961, 0.005008796785616734),
+    "ball": (12.419437212212848, 0.009238601361983671),
+    "raster": (11.848755758931551, 0.005039956463220546),
+    "cross": (0.03841097118510646, 7.058538695432608e-06),
+    "config": (0.2614929857048456, 0.0001554120471945991),
+}
+
+
+def test_mc_riesz_frozen_stream():
+    g2 = make_grid(2, 64)
+    a = make_ball(0.25, np.zeros(2), g2)
+    b = make_ball(0.25, np.array([1.0, 0.2]), g2)
+    cases = {
+        "disk": (make_ball(1.0, np.array([0.1, -0.05]), g2), None, 0.5, 3),
+        "ball": (make_ball(0.9, np.array([0.05, 0.0, -0.1]),
+                           make_grid(3, 12)), None, 1.0, 4),
+        "raster": (rasterize(make_ball(1.0, np.zeros(2), make_grid(2, 96)),
+                             1.0 / 256), None, 0.5, 5),
+        "cross": (a, b, 1.0, 6),
+        "config": (Configuration((a, b)), None, 0.5, 8),
+    }
+    for name, (set_a, set_b, alpha, seed) in cases.items():
+        got = mc_riesz(set_a, set_b, alpha, 1_000_000, seed)
+        assert got == MC_FROZEN[name], name
 
 
 def test_mc_riesz_ball_d3_exact():
@@ -157,8 +214,9 @@ def test_halfplane_relative_perimeter_direction_averaged():
         ang = i * math.pi / 8 + 0.0123
         nrm = np.array([math.cos(ang), math.sin(ang)])
 
-        def pred(pts):
-            return (pts @ nrm <= 0.0) & (np.linalg.norm(pts, axis=1) <= 3.0)
+        def pred(x, y):
+            return ((x * nrm[0] + y * nrm[1] <= 0.0)
+                    & (np.sqrt(x * x + y * y) <= 3.0))
 
         rs = raster_from_predicate(pred, ((-3.2, 3.2), (-3.2, 3.2)), h)
         lhs, per, ratio = check_rel_isop(rs, 0)
@@ -166,6 +224,98 @@ def test_halfplane_relative_perimeter_direction_averaged():
         assert ratio == pytest.approx(lhs / per, rel=1e-12)
         lengths.append(per)
     assert np.mean(lengths) == pytest.approx(2.0, abs=0.05)
+
+
+def _rel_isop_reference(rs, j):
+    """check_rel_isop by enumerating the midpoint of every exposed edge."""
+    m = np.pad(rs.mask, 1, constant_values=False)
+    core = m[1:-1, 1:-1]
+    mids = []
+    for (di, dj), (oi, oj) in (((1, 0), (1.0, 0.5)), ((-1, 0), (0.0, 0.5)),
+                               ((0, 1), (0.5, 1.0)), ((0, -1), (0.5, 0.0))):
+        nb = m[1 + di:m.shape[0] - 1 + di, 1 + dj:m.shape[1] - 1 + dj]
+        ii, jj = np.nonzero(core & ~nb)
+        mids.append(np.stack([rs.x0 + (ii + oi) * rs.h,
+                              rs.y0 + (jj + oj) * rs.h], axis=1))
+    mids = np.concatenate(mids)
+    r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
+    cx, cy = rs.cell_centers()
+    rho2 = cx[:, None] ** 2 + cy[None, :] ** 2
+    in_annulus = (rho2 >= r_in * r_in) & (rho2 < r_out * r_out)
+    inter = int(np.count_nonzero(rs.mask & in_annulus)) * rs.h ** 2
+    area = math.pi * (r_out ** 2 - r_in ** 2)
+    minus = max(area - inter, 0.0)
+    lhs = min(inter, minus) ** 0.5
+    rr = np.linalg.norm(mids, axis=1)
+    per = OR.EDGE_FACTOR * rs.h * int(np.count_nonzero(
+        (rr > r_in) & (rr < r_out)))
+    if per == 0.0:
+        if min(inter, minus) > 16.0 * rs.h * r_out:
+            raise DegenerateAnnulusError("no relative perimeter")
+        return lhs, per, 0.0
+    return lhs, per, 0.0 if lhs == 0.0 else lhs / per
+
+
+def _rel_isop_cases():
+    rng = np.random.default_rng(12)
+    for j in range(4):
+        r_in = 2.0 ** j
+        h = r_in / 40
+        for ang, off in ((0.0, 0.0), (0.7, 0.3 * r_in), (4.1, -0.45 * r_in)):
+            yield OR._halfplane_raster(ang, off, 2 * r_in, h), j
+        shape = random_star(rng, n=64, d=2, amp=0.25, kmax=5,
+                            center_scale=0.3, normalize=False)
+        yield rasterize(dilate(shape, 1.7 * r_in
+                               / float(shape.radii.mean())), h), j
+    g = make_grid(2, 64)
+    # annulus 1 < |x| < 2 clipped by the raster box, entirely outside it,
+    # and a box off the origin
+    yield rasterize(make_ball(1.5, np.zeros(2), g), 1.0 / 64), 0
+    yield rasterize(make_ball(1.0, np.array([10.0, 10.0]), g), 1.0 / 32), 0
+    yield rasterize(make_ball(1.3, np.array([0.7, -0.4]), g), 1.0 / 48), 0
+    # lattices not anchored at multiples of h, random and extreme masks
+    for shape in ((100, 90), (7, 130)):
+        for mask in (rng.random(shape) < 0.5, np.zeros(shape, dtype=bool),
+                     np.ones(shape, dtype=bool)):
+            for j in (0, 1):
+                yield RasterSet(h=0.05, x0=-2.013, y0=-1.37, mask=mask), j
+
+
+def test_rel_isop_matches_midpoint_enumeration():
+    n = 0
+    for rs, j in _rel_isop_cases():
+        assert check_rel_isop(rs, j) == _rel_isop_reference(rs, j)
+        n += 1
+    assert n == 31
+
+
+def test_rel_isop_degenerate_annulus(monkeypatch):
+    # with a zero edge weight every proper intersection has no relative
+    # perimeter, so both forms must take the DegenerateAnnulusError path
+    monkeypatch.setattr(OR, "EDGE_FACTOR", 0.0)
+    rs = OR._halfplane_raster(0.3, 0.0, 2.0, 1.0 / 40)
+    for check in (check_rel_isop, _rel_isop_reference):
+        with pytest.raises(DegenerateAnnulusError):
+            check(rs, 0)
+    empty = RasterSet(h=0.05, x0=-2.5, y0=-2.5,
+                      mask=np.zeros((100, 100), dtype=bool))
+    assert check_rel_isop(empty, 0) == _rel_isop_reference(empty, 0) \
+        == (0.0, 0.0, 0.0)
+
+
+def test_halfplane_raster_matches_point_cloud():
+    for j, ang, off in ((0, 0.0, 0.0), (1, 1.234, 0.4), (2, 5.5, -1.7),
+                        (3, 2.9, 3.0)):
+        r_out = 2.0 ** (j + 1)
+        h = r_out / 96
+        rs = OR._halfplane_raster(ang, off, r_out, h)
+        cx, cy = rs.cell_centers()
+        pts = np.stack(np.meshgrid(cx, cy, indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+        nrm = np.array([math.cos(ang), math.sin(ang)])
+        ref = ((pts @ nrm <= off)
+               & (np.linalg.norm(pts, axis=1) <= 1.5 * r_out))
+        assert np.array_equal(rs.mask, ref.reshape(rs.mask.shape))
 
 
 def test_weighted_density_probes():

@@ -1,16 +1,23 @@
-"""Property tests of the discrete energy on random star shapes.
+"""Property tests of the discrete energy on random star shapes, of the
+shape-file round trip and of configuration parsing.
 
 alpha is drawn as a fraction of d, so both the boundary form
 (alpha <= 3/2) and the volume form are exercised.  Example counts are
 bounded so that the file runs in a few seconds.
 """
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from isoshape.cli import parse_config
 
 from isoshape.energy import (
     VolumeQuadrature,
@@ -18,12 +25,18 @@ from isoshape.energy import (
     riesz_self,
     weighted_perimeter,
 )
+from isoshape.errors import ConfigError
 from isoshape.geometry import (
+    R_MIN_DEFAULT,
+    Configuration,
     EnergyParams,
     StarShape,
+    config_to_dict,
     dilate,
+    load_configuration,
     make_ball,
     make_grid,
+    save_configuration,
 )
 from isoshape.optimize import shape_gradient
 from isoshape.oracle import random_star
@@ -113,3 +126,67 @@ def test_shape_gradient_matches_central_differences(seed, cell, frac, gamma):
         fd = (energy(r + step[:r.size], c + step[r.size:])
               - energy(r - step[:r.size], c - step[r.size:])) / (2 * h)
         assert abs(g[i] - fd) <= 1e-4 * max(abs(fd), floor)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(grid=st.sampled_from([(2, 8), (2, 21), (3, 8)]), data=st.data())
+def test_configuration_file_round_trip(grid, data):
+    g = make_grid(*grid)
+    comps = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        center = data.draw(arrays(float, g.d, elements=st.floats(
+            -1e300, 1e300, allow_nan=False)))
+        radii = data.draw(arrays(float, g.n_nodes, elements=st.floats(
+            R_MIN_DEFAULT, 1e300)))
+        comps.append(StarShape(grid=g, center=center, radii=radii))
+    cfg = Configuration(tuple(comps))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shape.json")
+        save_configuration(path, cfg)
+        back = load_configuration(path)
+    assert config_to_dict(back) == config_to_dict(cfg)
+    for a, b in zip(cfg.components, back.components, strict=True):
+        assert np.array_equal(a.center, b.center)
+        assert np.array_equal(a.radii, b.radii)
+        assert (a.grid.d, a.grid.n) == (b.grid.d, b.grid.n)
+
+
+_FLAGS = ("--d", "--p", "--alpha", "--gamma", "--gammas", "--n", "--seed",
+          "--out", "--svg", "--config", "--bogus")
+_VALUES = ("eval", "sweep", "verify", "2", "3", "8", "0", "-1", "0.5",
+           "1e400", "nan", "-inf", "1,2", ",", "1,x", "", "x", ".")
+_FILE_KEYS = ("d", "p", "alpha", "gamma", "gammas", "n", "seed", "out",
+              "svg", "max_iter", "g_tol", "mode", "lam")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["penalty", "projection", "1", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5)
+
+
+def _parse_or_config_error(argv):
+    try:
+        parse_config(argv)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=st.lists(st.sampled_from(_FLAGS + _VALUES) | st.text(max_size=6),
+                     max_size=8))
+def test_parse_config_fuzz_raises_only_config_error(argv):
+    # help flags (and their argparse abbreviations) exit with status 0
+    assume(not any(a.startswith(("-h", "--h")) for a in argv))
+    _parse_or_config_error(argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw=st.dictionaries(st.sampled_from(_FILE_KEYS) | st.text(max_size=4),
+                           _JSON, max_size=5) | _JSON)
+def test_config_file_fuzz_raises_only_config_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        _parse_or_config_error(["eval", "--config", path])
