@@ -19,8 +19,8 @@ scale-check  residuals of the scaling identity
 Configuration comes from an optional JSON file (--config) plus flags;
 flags override file values, unknown file keys are rejected, and every
 parse error names the offending key and the violated constraint.
-Defaults: d=2, p=2, alpha=1, gamma=0.01, n=128, seed=0, projection mode
-(max_iter=2000, g_tol=1e-6, lam=0).
+Defaults: d=2, p=2, alpha=1, gamma=0.01, n=128, seed=0, max_iter=2000,
+g_tol=1e-6.
 
 Exit codes: 0 success, 1 check violation, 2 usage or configuration
 error, 3 numerical failure during a run.  ISOSHAPE_THREADS caps sweep
@@ -71,7 +71,7 @@ COMMANDS = ("eval", "minimize", "sweep", "fuglede", "verify", "scale-check")
 _FILE_KEYS = {
     "d": int, "p": float, "alpha": float, "gamma": float,
     "gammas": list, "n": int, "seed": int, "out": str, "svg": bool,
-    "max_iter": int, "g_tol": float, "mode": str, "lam": float,
+    "max_iter": int, "g_tol": float,
 }
 
 _DEFAULT_GAMMAS = tuple(float(g) for g in np.logspace(-3.0, 2.0, 11))
@@ -181,7 +181,7 @@ def parse_config(argv) -> RunConfig:
 
     cfg = dict(d=2, p=2.0, alpha=1.0, gamma=0.01, n=128, seed=0,
                out=".", svg=False, gammas=list(_DEFAULT_GAMMAS),
-               max_iter=2000, g_tol=1e-6, mode="projection", lam=0.0)
+               max_iter=2000, g_tol=1e-6)
     if ns.config is not None:
         cfg.update(_read_file(ns.config))
     for key in ("d", "p", "alpha", "gamma", "n", "seed", "out", "svg"):
@@ -200,11 +200,8 @@ def parse_config(argv) -> RunConfig:
                               gamma=cfg["gamma"])
     except ValidationError as exc:
         raise ConfigError(f"energy parameters: {exc}") from None
-    if cfg["mode"] == "penalty" and not cfg["lam"] > 0:
-        raise ConfigError("key 'lam': penalty mode requires lam > 0")
     try:
-        opts = OptimizerOptions(max_iter=cfg["max_iter"], g_tol=cfg["g_tol"],
-                                mode=cfg["mode"], lam=cfg["lam"])
+        opts = OptimizerOptions(max_iter=cfg["max_iter"], g_tol=cfg["g_tol"])
     except ValidationError as exc:
         raise ConfigError(f"optimizer options: {exc}") from None
     return RunConfig(command=ns.command, params=params, n=int(cfg["n"]),

@@ -276,13 +276,17 @@ def stability_ratio(pert: Perturbation, R: float | None = None,
     Raises DegenerateDeficitError when the Riesz deficit does not exceed
     its own extrapolation error bar (the ratio would be noise).
     """
+    return _ratio(perimeter_deficit(pert, R, p), riesz_deficit(pert, R, alpha),
+                  gamma)
+
+
+def _ratio(per: float, rd: RieszResult, gamma: float) -> float:
     if not gamma > 0:
         raise ValidationError(f"gamma={gamma}; need gamma > 0")
-    rd = riesz_deficit(pert, R, alpha)
     if not float(rd) > rd.error:
         raise DegenerateDeficitError(
             f"riesz deficit {float(rd):.3e} within its error bar {rd.error:.3e}")
-    return perimeter_deficit(pert, R, p) / (gamma * float(rd))
+    return per / (gamma * float(rd))
 
 
 # ----------------------------------------------------------------------
@@ -300,13 +304,14 @@ def deficit_report(grid: SphereGrid, modes, epsilons, R: float, p: float,
         for eps in epsilons:
             pert = mode_perturbation(grid, eps, k, R=R, p=p)
             rd = riesz_deficit(pert, alpha=alpha)
+            per = perimeter_deficit(pert)
             try:
-                ratio = stability_ratio(pert, alpha=alpha, gamma=gamma)
+                ratio = _ratio(per, rd, gamma)
             except DegenerateDeficitError:
                 ratio = None
             rows.append({
                 "mode_k": k, "eps": eps, "R": R, "p": p, "alpha": alpha,
-                "per_deficit": perimeter_deficit(pert),
+                "per_deficit": per,
                 "riesz_deficit": float(rd),
                 "h1_sq": h1_norm_sq(pert),
                 "ratio": ratio,

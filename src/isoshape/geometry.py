@@ -132,6 +132,8 @@ class SphereGrid:
     polar: np.ndarray | None = None    # d=3: polar angles, ascending, no poles
     azimuth: np.ndarray | None = None  # d=3: uniform azimuths
     dpolar: np.ndarray | None = None   # d=3: dense polar derivative matrix
+    # per-grid operators built on first use (the optimizer's H^1 factor)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:

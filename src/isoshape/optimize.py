@@ -1,8 +1,9 @@
 """Constrained minimization of E_gamma over star-shaped configurations.
 
 The optimizer is projected gradient descent with Armijo backtracking.
-A trial step must also lower the objective strictly: once c1 t g.d is
-below half an ulp of f, the Armijo bound rounds to f itself.
+A trial step must also lower the objective strictly: once
+ARMIJO_C1 t g.d is below half an ulp of f, the Armijo bound rounds to f
+itself.
 Gradients are the exact derivatives of the discrete energy: the
 perimeter part differentiates the surface quadrature sum through the
 finite-difference tangential gradient operators (using their exact
@@ -18,15 +19,16 @@ gradient matches central finite differences of the energy to
 truncation order, and the energy a run reports is the objective it
 minimized, at that quadrature.
 
-The unit-volume constraint is enforced either by projection (dilation
+The unit-volume constraint is enforced by projection: the dilation
 x -> t x with t = volume^{-1/d}, exact for the homogeneous density
-|x|^p) or by the penalty lambda * | |Omega| - 1 | for multi-component
-runs, with one final dilation.  Descent directions are preconditioned
+|x|^p, after every trial step.  Descent directions are preconditioned
 by the H^1 metric (M + D^T M D)^{-1} on each radial block, which evens
 out the k^2 stiffness of high angular modes.  The operator is assembled
 from the grid's own tangential stencils (``SphereGrid.grad_components``
 applied to the columns of the identity), so u^T (M + D^T M D) u is
-the H^1 norm that ``asphericity`` measures.
+the H^1 norm that ``asphericity`` measures.  Its Cholesky factor is
+built once per grid and kept on it, so every run on that grid, and
+every thread of a sweep, shares it.
 
 In the boundary form the descent moves only within the band of angular
 modes that the tangential stencils resolve (``_band_limited``), and a
@@ -47,6 +49,7 @@ functional is scale invariant and the map is undefined.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -108,15 +111,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for one minimize call."""
+    """Knobs for one minimize call (the line-search constants are fixed),
+    and the init spec of sweep starts (``build_initial_config``)."""
 
     max_iter: int = 2000
     g_tol: float = 1e-6
-    s0: float = 1.0
-    c1: float = 1e-4
-    shrink: float = 0.5
-    mode: str = "projection"
-    lam: float = 1e4
     init: tuple = ("ball",)
 
     def __post_init__(self):
@@ -124,14 +123,7 @@ class OptimizerOptions:
             raise ValidationError("max_iter must be >= 1")
         if not self.g_tol > 0:
             raise ValidationError("g_tol must be positive")
-        if not self.s0 > 0:
-            raise ValidationError("s0 must be positive")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValidationError("c1 must lie in (0, 1)")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValidationError("shrink must lie in (0, 1)")
-        if self.mode not in ("projection", "penalty"):
-            raise ValidationError(f"unknown constraint mode {self.mode!r}")
+        _check_init(self.init)
 
 
 @dataclass(frozen=True)
@@ -258,30 +250,60 @@ def _h1_operator(grid: SphereGrid):
     return H
 
 
-class _Preconditioner:
-    """Cached H^1 solves, one Cholesky factor per distinct grid."""
+def _h1_solve(grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
+    """(M + D^T M D)^{-1} rhs, with the Cholesky factor cached on the
+    grid.  Two threads may both build it once; the bits are the same."""
+    factor = grid._cache.get("h1_factor")
+    if factor is None:
+        factor = grid._cache["h1_factor"] = cho_factor(_h1_operator(grid))
+    return cho_solve(factor, rhs)
 
-    def __init__(self):
-        self._factors = {}
 
-    def solve(self, grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
-        key = id(grid)
-        if key not in self._factors:
-            self._factors[key] = cho_factor(_h1_operator(grid))
-        return cho_solve(self._factors[key], rhs)
+def _precondition(config: Configuration, v: np.ndarray) -> np.ndarray:
+    """The H^1 solve on each radial block of v; centers pass through."""
+    parts = []
+    i0 = 0
+    for s in config.components:
+        n = s.radii.size
+        parts.append(_h1_solve(s.grid, v[i0:i0 + n]))
+        parts.append(v[i0 + n:i0 + n + s.grid.d])
+        i0 += n + s.grid.d
+    return np.concatenate(parts)
 
 
 # ----------------------------------------------------------------------
 # initial configurations and asphericity
 # ----------------------------------------------------------------------
 
+def _check_init(init):
+    """Raise ValidationError unless init is ("ball",), ("perturbed-ball",
+    eps, mode_k) or ("multiball", count, spacing), with eps finite,
+    spacing finite and positive, and mode_k and count integers >= 1."""
+    def real(x):
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+
+    def count(x):
+        return isinstance(x, numbers.Integral) and x >= 1
+
+    rules = {"ball": (), "perturbed-ball": (real, count),
+             "multiball": (count, lambda x: real(x) and x > 0)}
+    if not (isinstance(init, tuple) and init and isinstance(init[0], str)
+            and init[0] in rules):
+        raise ValidationError(f"unknown init spec {init!r}")
+    checks = rules[init[0]]
+    if len(init) != 1 + len(checks) or not all(
+            ok(x) for ok, x in zip(checks, init[1:])):
+        raise ValidationError(f"malformed init spec {init!r}")
+
+
 def build_initial_config(params: EnergyParams, grid: SphereGrid,
                          init: tuple = ("ball",)) -> Configuration:
     """Unit-volume starting configuration from an init spec.
 
     Specs: ("ball",), ("perturbed-ball", eps, mode_k),
-    ("multiball", count, spacing).
+    ("multiball", count, spacing); ``_check_init`` states their rules.
     """
+    _check_init(init)
     d = params.d
     r0 = unit_ball_volume(d) ** (-1.0 / d)
     kind = init[0]
@@ -298,18 +320,16 @@ def build_initial_config(params: EnergyParams, grid: SphereGrid,
         cfg = Configuration((dilate(shape, total_volume(
             Configuration((shape,))) ** (-1.0 / d)),))
         return cfg
-    if kind == "multiball":
-        count, spacing = int(init[1]), float(init[2])
-        rb = (1.0 / (count * unit_ball_volume(d))) ** (1.0 / d)
-        shapes = []
-        for i in range(count):
-            c = np.zeros(d)
-            c[0] = spacing * (i - (count - 1) / 2.0)
-            shapes.append(make_ball(rb, c, grid))
-        cfg = Configuration(tuple(shapes))
-        cfg.validate()
-        return cfg
-    raise ValidationError(f"unknown init spec {init!r}")
+    count, spacing = int(init[1]), float(init[2])
+    rb = (1.0 / (count * unit_ball_volume(d))) ** (1.0 / d)
+    shapes = []
+    for i in range(count):
+        c = np.zeros(d)
+        c[0] = spacing * (i - (count - 1) / 2.0)
+        shapes.append(make_ball(rb, c, grid))
+    cfg = Configuration(tuple(shapes))
+    cfg.validate()
+    return cfg
 
 
 def asphericity(config) -> float:
@@ -382,10 +402,6 @@ def _project_volume(config: Configuration) -> Configuration:
     return _rebuild(config, _pack(config) * t)
 
 
-# Smoothing width of the penalty |volume - 1| inside the optimizer: the
-# line search needs a differentiable model of the kink.
-EPS_LAM = 1e-8
-
 # Resolvability cap on the radial graph: max |grad_tau r| per component
 # may not exceed SLOPE_LIMIT times the component's volume radius.  The
 # discrete model cannot see features below the grid scale, so without
@@ -395,6 +411,14 @@ EPS_LAM = 1e-8
 # beyond the cap are outside the class of shapes the discrete model
 # resolves and are rejected like overlapping ones.
 SLOPE_LIMIT = 2.0
+
+# Armijo backtracking: a trial step t (in units of the max-norm of the
+# direction) is accepted when f drops by at least ARMIJO_C1 t g.d; it is
+# cut by SHRINK on rejection, doubled after acceptance and capped at
+# STEP_MAX.
+STEP_MAX = 1.0
+ARMIJO_C1 = 1e-4
+SHRINK = 0.5
 
 
 def _resolved(config: Configuration, params: EnergyParams) -> bool:
@@ -443,7 +467,7 @@ def _band_limited(config: Configuration, v: np.ndarray) -> np.ndarray:
 
 
 def _objective(config: Configuration, params: EnergyParams,
-               vq: VolumeQuadrature, lam: float) -> float:
+               vq: VolumeQuadrature) -> float:
     try:
         config.validate()
     except OverlapError:
@@ -454,8 +478,6 @@ def _objective(config: Configuration, params: EnergyParams,
     val = per
     if params.gamma != 0.0:
         val += params.gamma * riesz_value(config.components, params, vq)
-    if lam:
-        val += lam * math.hypot(total_volume(config) - 1.0, EPS_LAM)
     return val
 
 
@@ -474,62 +496,36 @@ def minimize(init: Configuration, params: EnergyParams,
     vol0 = total_volume(init)
     if not 0.5 <= vol0 <= 2.0:
         raise ValidationError(f"initial volume {vol0:.6f} outside [0.5, 2]")
-    projection = opts.mode == "projection"
-    lam = 0.0 if projection else opts.lam
     vq = frozen_rule(init, params)
     band = boundary_form(params)
-    precond = _Preconditioner()
 
     config = _rebuild(init, _band_limited(init, _pack(init))) if band else init
-    if projection:
-        config = _project_volume(config)
-    f = _objective(config, params, vq, lam)
+    # certify the start: from an overlapping one (f = inf) any finite
+    # candidate would pass the line search
+    config = _project_volume(config).validate()
+    f = _objective(config, params, vq)
     converged = False
     iterations = 0
 
     r_scale = float(np.median(np.concatenate(
         [s.radii for s in config.components])))
-    step = min(opts.s0, 0.05 * r_scale)
+    step = min(STEP_MAX, 0.05 * r_scale)
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        grads = shape_gradient(config, params, vq)
-        g = _flatten(grads)
-        vol = total_volume(config)
+        g = _flatten(shape_gradient(config, params, vq))
         n_vec = _flatten([(_volume_gradient(s), np.zeros(s.grid.d))
                           for s in config.components])
-        if not projection:
-            smooth = math.hypot(vol - 1.0, EPS_LAM)
-            g = g + lam * ((vol - 1.0) / smooth) * n_vec
-            kappa = lam * EPS_LAM ** 2 / smooth ** 3
         if band:
             g = _band_limited(config, g)
             n_vec = _band_limited(config, n_vec)
 
-        # preconditioned direction; in projection mode kept tangent to the
-        # constraint, in penalty mode the penalty curvature along the volume
-        # normal is folded in by a rank-1 (Sherman-Morrison) update
-        pg_parts = []
-        pn_parts = []
-        i0 = 0
-        for s in config.components:
-            n = s.radii.size
-            d = s.grid.d
-            pg_parts.append(precond.solve(s.grid, g[i0:i0 + n]))
-            pg_parts.append(g[i0 + n:i0 + n + d])
-            pn_parts.append(precond.solve(s.grid, n_vec[i0:i0 + n]))
-            pn_parts.append(n_vec[i0 + n:i0 + n + d])
-            i0 += n + d
-        direction = np.concatenate(pg_parts)
-        Pn = np.concatenate(pn_parts)
-        nPn = float(n_vec @ Pn)
-        if projection:
-            direction = direction - Pn * (float(n_vec @ direction) / nPn)
-            g_proj = g - n_vec * (float(n_vec @ g) / float(n_vec @ n_vec))
-        else:
-            direction = direction - Pn * (
-                kappa * float(n_vec @ direction) / (1.0 + kappa * nPn))
-            g_proj = g
+        # preconditioned direction, kept tangent to the constraint
+        direction = _precondition(config, g)
+        Pn = _precondition(config, n_vec)
+        direction = direction - Pn * (float(n_vec @ direction)
+                                      / float(n_vec @ Pn))
+        g_proj = g - n_vec * (float(n_vec @ g) / float(n_vec @ n_vec))
         g_norm = float(np.abs(g_proj).max())
         if callback is not None:
             callback(it, f, g_norm)
@@ -547,22 +543,18 @@ def minimize(init: Configuration, params: EnergyParams,
         t = step
         accepted = False
         while t * r_scale > 1e-16:
-            cand = _rebuild(config, z - t * direction)
-            if projection:
-                cand = _project_volume(cand)
-            f_new = _objective(cand, params, vq, lam)
-            if f_new < f and f_new <= f - opts.c1 * t * gd:
+            cand = _project_volume(_rebuild(config, z - t * direction))
+            f_new = _objective(cand, params, vq)
+            if f_new < f and f_new <= f - ARMIJO_C1 * t * gd:
                 accepted = True
                 break
-            t *= opts.shrink
+            t *= SHRINK
         if not accepted:
             break
         config = cand
         f = f_new
-        step = min(t * 2.0, opts.s0)
+        step = min(t * 2.0, STEP_MAX)
 
-    if not projection:
-        config = _project_volume(config)
     bd = total_energy(config, replace(params, lam=0.0), vq)
     record = SweepRecord(
         gamma=params.gamma, p=params.p, alpha=params.alpha, d=params.d,

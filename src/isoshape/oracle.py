@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import VolumeQuadrature, riesz_self
+from .energy import riesz_self
 from .errors import (
     DegenerateAnnulusError,
     MassPreconditionError,
@@ -590,7 +590,7 @@ def run_raster_agreement(seed: int = 0, trials: int = 20,
                    {"h": h, "p": p, "seed": seed})
 
 
-# Cells of the MC agreement corpus: (d, n, n_s, shapes, alphas).  A 3
+# Cells of the MC agreement corpus: (d, n, shapes, alphas).  A 3
 # sigma gate is meaningful only where (a) the pair-distance integrand
 # t^(-2 alpha) has a finite second moment, i.e. 2 alpha < d -- at
 # 2 alpha >= d the sample sigma estimates a divergent quantity and the
@@ -603,9 +603,9 @@ def run_raster_agreement(seed: int = 0, trials: int = 20,
 # none of which need the CLT.  Corpus shapes use gentle waviness so
 # truncation, which grows with boundary curvature, stays below noise.
 MC_AGREEMENT_CELLS = (
-    (2, 128, None, 3, (0.5, 0.75)),
-    (3, 24, 24, 3, (0.5, 0.75)),
-    (3, 28, 28, 2, (1.0,)),
+    (2, 128, 3, (0.5, 0.75)),
+    (3, 24, 3, (0.5, 0.75)),
+    (3, 28, 2, (1.0,)),
 )
 
 
@@ -619,16 +619,15 @@ def run_mc_agreement(seed: int = 0, n_samples: int = 1_000_000) -> dict:
     violations = 0
     trials = 0
     mc_seed = seed
-    for d, n, n_s, n_shapes, alphas in MC_AGREEMENT_CELLS:
+    for d, n, n_shapes, alphas in MC_AGREEMENT_CELLS:
         for i in range(n_shapes):
             shape = (make_ball(unit_ball_volume(d) ** (-1.0 / d),
                                np.zeros(d), make_grid(d, n))
                      if i == 0 else random_star(rng, n=n, d=d,
                                                 amp=0.08, kmax=3))
-            vq = VolumeQuadrature.build(shape, n_s=n_s)
             for alpha in alphas:
                 params = EnergyParams(d=d, p=2.0, alpha=alpha)
-                quad = float(riesz_self(shape, params, vq))
+                quad = float(riesz_self(shape, params))
                 mc_seed += 1
                 est, se = mc_riesz(shape, None, alpha, n_samples, mc_seed)
                 z = abs(quad - est) / se
@@ -637,8 +636,8 @@ def run_mc_agreement(seed: int = 0, n_samples: int = 1_000_000) -> dict:
                 trials += 1
     return _report("mc_agreement", trials, violations, worst,
                    {"n_samples": n_samples, "seed": seed,
-                    "cells": [[c[0], c[1], c[3]] + [list(c[4])]
-                              for c in MC_AGREEMENT_CELLS]})
+                    "cells": [[d, n, k, list(a)]
+                              for d, n, k, a in MC_AGREEMENT_CELLS]})
 
 
 def run_v_lipschitz(seed: int = 0, trials: int = 100, alpha: float = 1.0,

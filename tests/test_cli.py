@@ -32,7 +32,6 @@ def test_parse_defaults():
     assert cfg.gammas[-1] == pytest.approx(1e2)
     assert cfg.opts.max_iter == 2000
     assert cfg.opts.g_tol == 1e-6
-    assert cfg.opts.mode == "projection"
 
 
 def test_parse_file_and_flag_precedence(tmp_path):
@@ -75,9 +74,11 @@ def test_parse_rejections(tmp_path):
     with pytest.raises(ConfigError, match="'seed'"):
         parse_config(["verify", "--seed", "-1"])
 
-    fp.write_text(json.dumps({"mode": "penalty"}))
-    with pytest.raises(ConfigError, match="'lam'"):
-        parse_config(["minimize", "--config", str(fp)])
+    # the constraint is always the unit-volume projection
+    for raw in ({"mode": "penalty"}, {"lam": 1}):
+        fp.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(["minimize", "--config", str(fp)])
 
 
 def test_parse_sorts_gammas():

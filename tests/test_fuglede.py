@@ -191,3 +191,29 @@ def test_deficit_report_and_csv():
 
     rows[0]["ratio"] = None
     assert "indeterminate" in report_to_csv(rows).splitlines()[1]
+
+
+def test_deficit_report_computes_each_riesz_deficit_once(monkeypatch):
+    import isoshape.fuglede as fug
+    calls = []
+    deficit = fug.riesz_deficit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return deficit(*args, **kwargs)
+
+    monkeypatch.setattr(fug, "riesz_deficit", counted)
+    g = make_grid(2, 48)
+    # mode 1 at this resolution is the degenerate translation mode
+    rows = deficit_report(g, (1, 2, 3), (0.05, 0.1), R=1.0, p=2.0, alpha=1.0,
+                          gamma=2.0)
+    assert len(calls) == len(rows) == 6
+    monkeypatch.undo()
+    for row in rows:
+        pert = mode_perturbation(g, row["eps"], row["mode_k"], R=1.0, p=2.0)
+        try:
+            ratio = stability_ratio(pert, alpha=1.0, gamma=2.0)
+        except DegenerateDeficitError:
+            ratio = None
+        assert row["ratio"] == ratio
+        assert row["riesz_deficit"] == float(riesz_deficit(pert, alpha=1.0))

@@ -1,6 +1,7 @@
 """Optimizer: exact gradients, scaling maps, descent, sweeps, CSV."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_record_breakdown_is_the_reported_energy(d, n, alpha):
 
 
 def test_band_limit_commutes_with_the_h1_metric():
-    from isoshape.optimize import _Preconditioner, _band_limited
+    from isoshape.optimize import _band_limited, _h1_solve
     rng = np.random.default_rng(5)
     for d, n in ((2, 20), (2, 21), (3, 8)):
         grid = make_grid(d, n)
@@ -145,10 +146,9 @@ def test_band_limit_commutes_with_the_h1_metric():
         spec = np.fft.rfft(cut[:-d].reshape(-1, m), axis=1)
         assert np.abs(spec[:, m // 3 + 1:]).max() < 1e-12
         np.testing.assert_allclose(_band_limited(cfg, cut), cut, atol=1e-14)
-        solve = _Preconditioner().solve
         u = v[:-d]
-        lhs = _band_limited(cfg, np.append(solve(grid, u), np.zeros(d)))
-        rhs = solve(grid, _band_limited(cfg, v)[:-d])
+        lhs = _band_limited(cfg, np.append(_h1_solve(grid, u), np.zeros(d)))
+        rhs = _h1_solve(grid, _band_limited(cfg, v)[:-d])
         np.testing.assert_allclose(lhs[:-d], rhs, atol=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_reported_energy_is_the_minimized_objective(d, n, alpha):
     init = build_initial_config(params, make_grid(d, n),
                                 ("perturbed-ball", 0.2, 2))
     config, rec = minimize(init, params, OptimizerOptions(max_iter=40))
-    f = _objective(config, params, VolumeQuadrature.build(init), 0.0)
+    f = _objective(config, params, VolumeQuadrature.build(init))
     assert rec.energy == pytest.approx(f, rel=1e-12)
 
 
@@ -211,6 +211,17 @@ def test_scaling_maps_reject_critical_power():
         mass_to_gamma(2.0, params)
 
 
+# malformed init specs: each must raise ValidationError
+_BAD_INIT_SPECS = (
+    (), ("perturbed-ball",), ("perturbed-ball", 0.1), ("multiball", 2),
+    ("multiball", "x", 1.0), ("perturbed-ball", "a", 2),
+    ("perturbed-ball", 0.1, -2), ("perturbed-ball", 0.1, 0),
+    ("perturbed-ball", math.nan, 2), ("perturbed-ball", 0.1, 2.5),
+    ("multiball", 0, 2.0), ("multiball", 2, -1.0), ("multiball", 2, math.inf),
+    ("ball", 1.0), "ball", None,
+)
+
+
 def test_build_initial_config_specs():
     grid = make_grid(2, 64)
     params = EnergyParams(d=2, p=2.0, alpha=1.0)
@@ -234,6 +245,12 @@ def test_build_initial_config_specs():
         build_initial_config(params, grid, ("multiball", 3, 0.5))
     with pytest.raises(ValidationError):
         build_initial_config(params, grid, ("pentagon",))
+    # malformed specs: typed errors, not IndexError or ValueError
+    for d in (2, 3):
+        grid = make_grid(d, 8)
+        for init in _BAD_INIT_SPECS:
+            with pytest.raises(ValidationError):
+                build_initial_config(replace(params, d=d), grid, init)
 
 
 def test_asphericity_values():
@@ -261,15 +278,10 @@ def test_optimizer_options_validation():
         OptimizerOptions(max_iter=0)
     with pytest.raises(ValidationError):
         OptimizerOptions(g_tol=0.0)
-    with pytest.raises(ValidationError):
-        OptimizerOptions(s0=-1.0)
-    with pytest.raises(ValidationError):
-        OptimizerOptions(mode="lagrange")
-    # shrink = 1 would never end a rejected line search
-    with pytest.raises(ValidationError):
-        OptimizerOptions(shrink=1.0)
-    with pytest.raises(ValidationError):
-        OptimizerOptions(c1=0.0)
+    # a malformed init spec fails here, before any sweep thread starts
+    for init in _BAD_INIT_SPECS:
+        with pytest.raises(ValidationError):
+            OptimizerOptions(init=init)
 
 
 def test_minimize_ball_is_fixed_point():
@@ -300,17 +312,6 @@ def test_minimize_descends_from_perturbed_ball():
     assert rec.volume == pytest.approx(1.0, abs=1e-12)
 
 
-def test_minimize_penalty_mode():
-    grid = make_grid(2, 32)
-    params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=0.01)
-    init = build_initial_config(params, grid, ("perturbed-ball", 0.1, 2))
-    opts = OptimizerOptions(max_iter=400, mode="penalty", lam=1e4)
-    config, rec = minimize(init, params, opts)
-    assert rec.volume == pytest.approx(1.0, abs=1e-10)
-    assert rec.asphericity < asphericity(init)
-    assert rec.energy < total_energy(init, params).total
-
-
 def test_minimize_rejects_bad_initial_volume():
     grid = make_grid(2, 32)
     params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=0.01)
@@ -326,12 +327,12 @@ def test_objective_guards_reject_bad_candidates():
     a = make_ball(0.5, np.zeros(2), grid)
     b = make_ball(0.5, np.array([0.8, 0.0]), grid)
     vq = VolumeQuadrature.build(Configuration((a,)))
-    assert _objective(Configuration((a, b)), params, vq, 0.0) == math.inf
+    assert _objective(Configuration((a, b)), params, vq) == math.inf
 
     theta = grid.theta
     spiky = StarShape(grid=grid, center=np.zeros(2),
                       radii=1.0 + 0.9 * np.cos(16 * theta))
-    assert _objective(Configuration((spiky,)), params, vq, 0.0) == math.inf
+    assert _objective(Configuration((spiky,)), params, vq) == math.inf
 
 
 
@@ -407,6 +408,68 @@ def test_sweep_gamma_catches_only_package_errors(monkeypatch):
     monkeypatch.setattr(opt, "minimize", warm_bug)
     with pytest.raises(TypeError):
         sweep_gamma([0.1, 0.2], params, grid)
+
+
+def test_sweep_builds_the_h1_operator_once_per_grid(monkeypatch):
+    # 3 fresh and 2 warm descents on one grid share one Cholesky factor
+    import isoshape.optimize as opt
+    builds = []
+    operator = opt._h1_operator
+
+    def counted(grid):
+        builds.append(grid)
+        return operator(grid)
+
+    monkeypatch.setenv("ISOSHAPE_THREADS", "1")
+    monkeypatch.setattr(opt, "_h1_operator", counted)
+    grid = make_grid(2, 20)
+    opts = OptimizerOptions(max_iter=10, init=("perturbed-ball", 0.2, 3))
+    records = sweep_gamma([0.1, 1.0, 10.0], EnergyParams(d=2, p=2.0, alpha=1.0),
+                          grid, opts)
+    assert all(math.isfinite(r.energy) for r in records)
+    assert builds == [grid]
+
+
+def test_h1_solve_threads_share_one_factor():
+    # threads racing on a fresh grid may each build the factor; every
+    # solve still returns the serial result, bit for bit
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from isoshape.optimize import _h1_solve
+    rhs = np.random.default_rng(3).standard_normal((8, 8 * 16))
+    serial = [_h1_solve(make_grid(3, 8), b) for b in rhs]
+    grid = make_grid(3, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            futures = [ex.submit(_h1_solve, grid, b) for b in rhs]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(results, serial))
+    assert list(grid._cache) == ["h1_factor"]
+
+
+@pytest.mark.parametrize("d,n,alpha", [(2, 20, 1.0), (3, 8, 1.0), (3, 8, 2.5)])
+def test_minimize_on_a_shared_grid_is_bit_identical(d, n, alpha):
+    # the cached factor gives the same descent as a fresh grid's
+    params = EnergyParams(d=d, p=2.0, alpha=alpha, gamma=0.5)
+    opts = OptimizerOptions(max_iter=25)
+    shared = make_grid(d, n)
+
+    def run(grid):
+        init = build_initial_config(params, grid, ("perturbed-ball", 0.2, 2))
+        return minimize(init, params, opts)
+
+    runs = [run(shared), run(shared), run(make_grid(d, n))]
+    (ref_cfg, ref_rec), rest = runs[0], runs[1:]
+    assert ref_rec.iterations > 1
+    for cfg, rec in rest:
+        assert rec == ref_rec
+        for a, b in zip(cfg.components, ref_cfg.components, strict=True):
+            assert np.array_equal(a.radii, b.radii)
+            assert np.array_equal(a.center, b.center)
 
 
 @pytest.mark.parametrize("d,n", [(2, 20), (3, 8)])
