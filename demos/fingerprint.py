@@ -1,0 +1,160 @@
+"""Print bit-identity fingerprints of descents, Riesz values and oracles.
+
+A change that should leave every reported number as it was can run this
+script against its own source tree and against a copy of its parent's,
+and diff the two outputs:
+
+    git archive <parent> | tar -x -C /tmp/parent
+    PYTHONPATH=src python3 demos/fingerprint.py > new.txt
+    PYTHONPATH=/tmp/parent/src python3 demos/fingerprint.py > old.txt
+    diff old.txt new.txt
+
+One line per fingerprint:
+
+- minimize: iterations, converged, repr(energy), repr(asphericity) and
+  the sha256 of the final radii and centers, for d=2 and d=3 descents in
+  the boundary form, the volume form, a two-ball start and a pinching
+  fragmentation run;
+- the sha256 of the CSV of a warm-started 3-gamma sweep and of a
+  ``deficit_report`` table;
+- Riesz values (riesz_self with its error bar, interaction, potential)
+  in both forms;
+- mc_riesz (estimate, standard error) on balls, random stars and a
+  two-disk configuration, the sha256 of a rasterized mask, and the
+  reports of two oracle corpora.
+
+Floats are printed as repr(float(x)), so a value that changes only its
+numpy scalar type prints the same.  Takes about 30 s on 2 CPUs.
+
+Run:  PYTHONPATH=src python3 demos/fingerprint.py
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from isoshape.energy import interaction, potential, riesz_self
+from isoshape.fuglede import deficit_report, report_to_csv
+from isoshape.geometry import (
+    Configuration,
+    EnergyParams,
+    make_ball,
+    make_grid,
+)
+from isoshape.optimize import (
+    OptimizerOptions,
+    build_initial_config,
+    minimize,
+    records_to_csv,
+    sweep_gamma,
+)
+from isoshape.oracle import (
+    mc_riesz,
+    random_star,
+    rasterize,
+    run_raster_agreement,
+    run_v_lipschitz,
+)
+
+# (d, n, alpha, gamma, init) of each descent; p = 2 throughout
+DESCENTS = (
+    (2, 20, 1.0, 0.01, ("perturbed-ball", 0.2, 3)),
+    (2, 20, 1.75, 0.01, ("perturbed-ball", 0.2, 3)),
+    (2, 32, 1.0, 100.0, ("multiball", 2, 2.5)),
+    (2, 24, 1.6, 30.0, ("perturbed-ball", 0.2, 2)),
+    (3, 8, 2.5, 0.5, ("perturbed-ball", 0.2, 2)),
+    (3, 12, 1.0, 0.1, ("perturbed-ball", 0.2, 2)),
+)
+SWEEP = dict(gammas=(0.1, 1.0, 10.0), n=20, init=("perturbed-ball", 0.2, 3))
+DEFICIT = dict(n=64, modes=(2, 3, 4), epsilons=(0.1,), R=1.0, p=2.0,
+               alpha=1.0, gamma=1.0)
+# (d, n, alpha, sampling seed) of the Monte Carlo ball cells; the balls'
+# radii and centers are drawn from default_rng(MC_RNG_SEED)
+MC_CELLS = ((2, 64, 0.5, 101), (3, 12, 0.5, 102), (3, 12, 1.0, 103))
+MC_RNG_SEED = 11
+MC_SAMPLES = 1_000_000
+
+
+def sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def text_sha(s: str) -> str:
+    return hashlib.sha256(s.encode()).hexdigest()[:16]
+
+
+def f(x) -> str:
+    return repr(float(x))
+
+
+def descents():
+    for d, n, alpha, gamma, init in DESCENTS:
+        params = EnergyParams(d=d, p=2.0, alpha=alpha, gamma=gamma)
+        start = build_initial_config(params, make_grid(d, n), init)
+        config, rec = minimize(start, params)
+        shapes = config.components
+        print(f"minimize d={d} n={n} alpha={alpha:g} gamma={gamma:g} "
+              f"init={init}: it={rec.iterations} conv={rec.converged} "
+              f"E={f(rec.energy)} asph={f(rec.asphericity)} "
+              f"shape={sha(*[s.radii for s in shapes], *[s.center for s in shapes])}")
+
+
+def tables():
+    params = EnergyParams(d=2, p=2.0, alpha=1.0)
+    rows = sweep_gamma(SWEEP["gammas"], params, make_grid(2, SWEEP["n"]),
+                       OptimizerOptions(init=SWEEP["init"]))
+    print(f"sweep csv {text_sha(records_to_csv(rows))}")
+    dr = deficit_report(make_grid(2, DEFICIT["n"]), DEFICIT["modes"],
+                        DEFICIT["epsilons"], DEFICIT["R"], DEFICIT["p"],
+                        DEFICIT["alpha"], DEFICIT["gamma"])
+    print(f"deficit csv {text_sha(report_to_csv(dr))}")
+
+
+def riesz_values():
+    rng = np.random.default_rng(5)
+    for d, n in ((2, 48), (3, 12)):
+        star = random_star(rng, n=n, d=d, amp=0.1, kmax=3)
+        far = make_ball(0.3, np.full(d, 3.0), make_grid(d, n))
+        for alpha in (0.5, 1.0, 1.5, 1.75):
+            params = EnergyParams(d=d, p=2.0, alpha=alpha)
+            rs = riesz_self(star, params)
+            print(f"riesz d={d} n={n} alpha={alpha:g}: self=({f(rs.value)}, "
+                  f"{f(rs.error)}) cross={f(interaction(star, far, params))} "
+                  f"potential={f(potential(star, np.full(d, 0.1), params))}")
+
+
+def oracles():
+    rng = np.random.default_rng(MC_RNG_SEED)
+    for d, n, alpha, seed in MC_CELLS:
+        R = float(rng.uniform(0.8, 1.25))
+        ball = make_ball(R, rng.uniform(-0.25, 0.25, d), make_grid(d, n))
+        est, se = mc_riesz(ball, None, alpha, MC_SAMPLES, seed)
+        print(f"mc_riesz ball d={d} n={n} alpha={alpha:g}: {f(est)} {f(se)}")
+    star_rng = np.random.default_rng(7)
+    stars = {2: random_star(star_rng, n=64, d=2),
+             3: random_star(star_rng, n=12, d=3)}
+    for d, star in stars.items():
+        est, se = mc_riesz(star, None, 0.5, MC_SAMPLES, 200 + d)
+        print(f"mc_riesz star d={d}: {f(est)} {f(se)}")
+    g2 = make_grid(2, 64)
+    pair = Configuration((make_ball(0.25, np.zeros(2), g2),
+                          make_ball(0.25, np.array([1.0, 0.2]), g2)))
+    est, se = mc_riesz(pair, None, 0.5, MC_SAMPLES, 8)
+    print(f"mc_riesz two disks: {f(est)} {f(se)}")
+    print(f"rasterize star d=2 mask {sha(rasterize(stars[2], 1.0 / 128).mask)}")
+    for name, run, kw in (("run_raster_agreement", run_raster_agreement,
+                           {"seed": 0, "trials": 4}),
+                          ("run_v_lipschitz", run_v_lipschitz,
+                           {"seed": 0, "trials": 2})):
+        print(f"{name} {json.dumps(run(**kw), sort_keys=True)}")
+
+
+if __name__ == "__main__":
+    descents()
+    tables()
+    riesz_values()
+    oracles()

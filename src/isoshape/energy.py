@@ -328,12 +328,13 @@ def _c_alpha(d: int, alpha: float) -> float:
     return -1.0 / ((2.0 - alpha) * (d - alpha))
 
 
-def _boundary_nodes(grid: SphereGrid, center, r):
+def _boundary_nodes(grid: SphereGrid, center, r, comps):
     """Boundary points Y = c + r theta and weighted normals
-    N = w r^(d-2) (r theta - sum_k D_k(r) t_k) at the grid nodes."""
+    N = w r^(d-2) (r theta - sum_k D_k(r) t_k) at the grid nodes, from
+    the tangential components comps = D_k(r) on that grid."""
     Y = center[None, :] + r[:, None] * grid.nodes
     T = r[:, None] * grid.nodes
-    for c, t in zip(grid.grad_components(r), grid.tangent_frame()):
+    for c, t in zip(comps, grid.tangent_frame()):
         T -= c[:, None] * t
     return Y, (grid.weights * r ** (grid.d - 2))[:, None] * T
 
@@ -368,14 +369,15 @@ def _coarse_nodes(shape: StarShape):
                             polar=g.polar, azimuth=g.azimuth[::2],
                             dpolar=g.dpolar)
         rc = every_other_azimuth(r)
-    return _boundary_nodes(coarse, shape.center, rc)
+    return _boundary_nodes(coarse, shape.center, rc, coarse.grad_components(rc))
 
 
 def _boundary_cloud(shapes, coarse: bool = False):
     """Boundary nodes (Y, N) of several components, concatenated, on the
     fine or the coarse level."""
     nodes = [_coarse_nodes(s) if coarse else
-             _boundary_nodes(s.grid, s.center, s.radii) for s in shapes]
+             _boundary_nodes(s.grid, s.center, s.radii, s.slopes)
+             for s in shapes]
     return (np.concatenate([y for y, _ in nodes]),
             np.concatenate([n for _, n in nodes]))
 
@@ -443,7 +445,7 @@ def _boundary_gradient(shapes, alpha: float):
         # N depends on r_i through w r^(d-1) theta, through the factor
         # w r^(d-2) of its tangential part, and through the stencils D_k
         gt = [np.einsum("ij,ij->i", gn, t) for t in g.tangent_frame()]
-        comps = g.grad_components(r)
+        comps = s.slopes
         gr = np.einsum("ij,ij->i", gy + (d - 1) * (w * r ** (d - 2))[:, None] * gn,
                        g.nodes)
         gr -= (d - 2) * w * r ** (d - 3) * sum(c * t for c, t in zip(comps, gt))
@@ -532,11 +534,10 @@ def riesz_gradient(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
 def _perimeter_terms(shape: StarShape, params: EnergyParams):
     """Boundary points y, density a(y), tangential components of grad r
     and slant sqrt(r^2 + |grad r|^2) at the grid nodes."""
+    _check_params(params, (shape,))
     g = shape.grid
-    if g.d != params.d:
-        raise ValidationError("shape dimension does not match params.d")
     r = shape.radii
-    comps = g.grad_components(r)
+    comps = shape.slopes
     slant = np.sqrt(r * r + sum(c * c for c in comps))
     y = shape.center[None, :] + r[:, None] * g.nodes
     if params.p == 0.0:
@@ -594,7 +595,7 @@ def riesz_self(shape: StarShape, params: EnergyParams,
     vq is the rule of the volume form (alpha > BOUNDARY_ALPHA_MAX), built
     from the shape when not given; the boundary form does not use it.
     """
-    _check_alpha(params)
+    _check_params(params, (shape,))
     value, err = riesz_estimate(riesz_sums((shape,), params, vq), params)
     value = max(value, 0.0)
     if rtol is not None and err > rtol * max(abs(value), 1e-300):
@@ -610,7 +611,7 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
     The operand pair is put in a canonical order before summation, so
     interaction(A, B) == interaction(B, A) bit for bit.
     """
-    _check_alpha(params)
+    _check_params(params, (A, B))
     gap = (np.linalg.norm(A.center - B.center)
            - float(A.radii.max()) - float(B.radii.max()))
     if gap <= 0:
@@ -641,10 +642,14 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
     node at x taken as 0.  Each point is summed on its own, so a batch
     of points gives the values of single calls bit for bit.
     """
-    _check_alpha(params)
+    shapes = _components(obj)
+    _check_params(params, shapes)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != params.d:
+        raise ValidationError(f"points of shape {np.shape(x)} are not "
+                              f"points of dimension d={params.d}")
     if boundary_form(params):
-        Y, N = _boundary_cloud(_components(obj))
+        Y, N = _boundary_cloud(shapes)
         vals = np.empty(len(pts))
         for t, pt in enumerate(pts):
             diff = pt[None, :] - Y
@@ -655,7 +660,7 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
     else:
         if vq is None:
             vq = VolumeQuadrature.build(obj)
-        X, W = vq.cloud(_components(obj))
+        X, W = vq.cloud(shapes)
         sums = np.array([pair_sum(pt[None, :], np.ones(1), X, W, params.alpha,
                                   vq.levels) for pt in pts]).reshape(-1, 2)
         vals, _ = richardson(sums[:, 0], sums[:, 1], params.d, params.alpha)
@@ -733,6 +738,10 @@ class EnergyBreakdown:
         }
 
 
-def _check_alpha(params: EnergyParams):
+def _check_params(params: EnergyParams, shapes):
+    """Raise ValidationError unless alpha lies in (0, d) and every shape
+    lives on a grid of dimension params.d."""
     if not 0.0 < params.alpha < params.d:
         raise ValidationError(f"alpha must lie in (0, d), got {params.alpha}")
+    if any(s.grid.d != params.d for s in shapes):
+        raise ValidationError("shape dimension does not match params.d")

@@ -20,7 +20,15 @@ central stencils along uniform directions, Fornberg stencils on the
 nonuniform polar nodes.  Finite differences (rather than spectral
 transforms) keep the discrete energy a smooth function of the radial
 samples, so the energy module can differentiate its quadrature sums
-exactly.
+exactly.  The periodic stencil wrap-pads its axis once and reads the
+four shifted operands as slices of the padded copy.
+
+What depends only on the grid or only on the shape is computed once and
+kept read-only in their ``_cache`` dicts: a grid's tangent frame (and
+the optimizer's H^1 factor), a shape's radial slopes
+``StarShape.slopes`` and its spline interpolant.  Every perimeter,
+boundary-node and resolvability evaluation of one shape reads the same
+slopes.
 
 A StarShape also has a continuous interpretation used by the raster and
 Monte Carlo oracles: the radial samples are interpolated (periodic
@@ -103,16 +111,19 @@ def _nonuniform_d1_matrix(x):
     return D
 
 
-def _periodic_d1(f, h, axis=-1):
-    """4th-order central difference on a uniform periodic axis.
+def _periodic_d1(f, h):
+    """4th-order central difference along the last axis, which is uniform
+    and periodic.
 
-    The stencil is antisymmetric, so the matrix of this map is
-    skew-symmetric: the adjoint is the negated operator.
+    The axis is wrap-padded by two samples on each side once, and the
+    four shifted operands are slices of the padded copy.  The stencil is
+    antisymmetric, so the matrix of this map is skew-symmetric: the
+    adjoint is the negated operator.
     """
-    fm1 = np.roll(f, 1, axis=axis)
-    fp1 = np.roll(f, -1, axis=axis)
-    fm2 = np.roll(f, 2, axis=axis)
-    fp2 = np.roll(f, -2, axis=axis)
+    n = f.shape[-1]
+    P = np.concatenate((f[..., -2:], f, f[..., :2]), axis=-1)
+    fm2, fm1 = P[..., 0:n], P[..., 1:n + 1]
+    fp1, fp2 = P[..., 3:n + 3], P[..., 4:n + 4]
     return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
 
 
@@ -132,7 +143,8 @@ class SphereGrid:
     polar: np.ndarray | None = None    # d=3: polar angles, ascending, no poles
     azimuth: np.ndarray | None = None  # d=3: uniform azimuths
     dpolar: np.ndarray | None = None   # d=3: dense polar derivative matrix
-    # per-grid operators built on first use (the optimizer's H^1 factor)
+    # per-grid arrays built on first use: the tangent frame and the
+    # optimizer's H^1 factor
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -156,7 +168,7 @@ class SphereGrid:
             return [_periodic_d1(f, 2.0 * math.pi / self.n)]
         F = f.reshape(self.shape2d)
         dp = self.dpolar @ F
-        da = _periodic_d1(F, 2.0 * math.pi / self.azimuth.size, axis=1)
+        da = _periodic_d1(F, 2.0 * math.pi / self.azimuth.size)
         da /= np.sin(self.polar)[:, None]
         return [dp.ravel(), da.ravel()]
 
@@ -169,21 +181,34 @@ class SphereGrid:
         t2 = np.asarray(comps[1], dtype=float).reshape(shp)
         out = self.dpolar.T @ t1
         out -= _periodic_d1(t2 / np.sin(self.polar)[:, None],
-                            2.0 * math.pi / self.azimuth.size, axis=1)
+                            2.0 * math.pi / self.azimuth.size)
         return out.ravel()
 
     def tangent_frame(self):
-        """Orthonormal tangent vectors at each node, ambient coordinates."""
+        """Orthonormal tangent vectors at each node, ambient coordinates.
+
+        Built once per grid and kept read-only in ``_cache``; threads that
+        race on the first call build the same bits.
+        """
+        frame = self._cache.get("tangent_frame")
+        if frame is not None:
+            return frame
         if self.d == 2:
             t = self.theta
-            return [np.stack([-np.sin(t), np.cos(t)], axis=1)]
-        phi = np.repeat(self.polar, self.azimuth.size)
-        psi = np.tile(self.azimuth, self.polar.size)
-        e_phi = np.stack([np.cos(phi) * np.cos(psi),
-                          np.cos(phi) * np.sin(psi),
-                          -np.sin(phi)], axis=1)
-        e_psi = np.stack([-np.sin(psi), np.cos(psi), np.zeros_like(psi)], axis=1)
-        return [e_phi, e_psi]
+            frame = (np.stack([-np.sin(t), np.cos(t)], axis=1),)
+        else:
+            phi = np.repeat(self.polar, self.azimuth.size)
+            psi = np.tile(self.azimuth, self.polar.size)
+            e_phi = np.stack([np.cos(phi) * np.cos(psi),
+                              np.cos(phi) * np.sin(psi),
+                              -np.sin(phi)], axis=1)
+            e_psi = np.stack([-np.sin(psi), np.cos(psi), np.zeros_like(psi)],
+                             axis=1)
+            frame = (e_phi, e_psi)
+        for e in frame:
+            e.setflags(write=False)
+        self._cache["tangent_frame"] = frame
+        return frame
 
 
 def make_grid(d: int, n: int) -> SphereGrid:
@@ -263,6 +288,18 @@ class StarShape:
     @property
     def max_radius(self) -> float:
         return float(self.radii.max())
+
+    @property
+    def slopes(self) -> tuple:
+        """Tangential components of grad r, ``grid.grad_components(radii)``,
+        computed once per shape and read-only."""
+        comps = self._cache.get("slopes")
+        if comps is None:
+            comps = tuple(self.grid.grad_components(self.radii))
+            for c in comps:
+                c.setflags(write=False)
+            self._cache["slopes"] = comps
+        return comps
 
 
 def make_ball(R: float, center, grid: SphereGrid, r_min: float = R_MIN_DEFAULT) -> StarShape:
@@ -366,12 +403,14 @@ def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
     """Interpolated radial function at arbitrary unit directions."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     g = shape.grid
+    # the azimuth in [0, 2 pi], as np.mod gives it: an angle in
+    # (-4.4e-16, 0) rounds up to 2 pi, which the periodic spline wraps to 0
+    ang = np.arctan2(dirs[:, 1], dirs[:, 0])
+    np.add(ang, 2.0 * math.pi, out=ang, where=ang < 0)
     if g.d == 2:
-        ang = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
         return _spline(shape)(ang)
     phi = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-    psi = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
-    return _bilinear(shape, phi, psi)
+    return _bilinear(shape, phi, ang)
 
 
 def _bilinear(shape: StarShape, phi, psi):
@@ -464,7 +503,7 @@ def interpolated_volume(shape: StarShape) -> float:
             r = _bilinear(shape, np.full(na, row_phi), np.mod(az + off, 2.0 * math.pi))
             azint += float(np.sum(r ** 3 / 3.0)) * 0.5 * dpsi * wg2[l]
         tot += (math.cos(clo) - math.cos(chi)) * azint
-    return tot
+    return float(tot)
 
 
 def ray_radius(shape: StarShape, dirs=None) -> np.ndarray:

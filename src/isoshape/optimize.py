@@ -21,7 +21,11 @@ minimized, at that quadrature.
 
 The unit-volume constraint is enforced by projection: the dilation
 x -> t x with t = volume^{-1/d}, exact for the homogeneous density
-|x|^p, after every trial step.  Descent directions are preconditioned
+|x|^p, after every trial step.  ``_project_volume`` clamps, projects
+and builds the candidate from the trial vector in one pass, one
+StarShape per component, so each trial's perimeter, resolvability and
+Riesz terms read that shape's slopes (``StarShape.slopes``), computed
+once.  Descent directions are preconditioned
 by the H^1 metric (M + D^T M D)^{-1} on each radial block, which evens
 out the k^2 stiffness of high angular modes.  The operator is assembled
 from the grid's own tangential stencils (``SphereGrid.grad_components``
@@ -373,33 +377,37 @@ def _flatten(grads):
     return np.concatenate([np.concatenate([gr, gc]) for gr, gc in grads])
 
 
-def _rebuild(config: Configuration, z: np.ndarray) -> Configuration:
-    shapes = []
-    i0 = 0
-    for s in config.components:
-        n = s.radii.size
-        d = s.grid.d
-        radii = np.maximum(z[i0:i0 + n], s.r_min)
-        center = z[i0 + n:i0 + n + d]
-        shapes.append(StarShape(grid=s.grid, center=center, radii=radii,
-                                r_min=s.r_min))
-        i0 += n + d
-    return Configuration(tuple(shapes))
-
-
 def _pack(config: Configuration) -> np.ndarray:
     return np.concatenate([np.concatenate([s.radii, s.center])
                            for s in config.components])
 
 
-def _project_volume(config: Configuration) -> Configuration:
-    # per-component volume sum, skipping the disjointness certificate:
-    # overlapping trial candidates must still be rescalable so that the
-    # line search can reject them through the objective instead of
-    # raising.  The radius floor is reapplied for the same reason.
-    vol = math.fsum(volume(s) for s in config.components)
+def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
+    """The configuration of the packed vector z (laid out as ``_pack`` of
+    config), dilated to unit volume, with one StarShape per component.
+
+    The radii are clamped to the floor r_min, the component volumes are
+    summed in order without the disjointness certificate (an overlapping
+    candidate must still be rescalable, so that the line search rejects
+    it through the objective instead of raising), z is scaled by
+    volume^(-1/d) and the floor is applied again.
+    """
+    if not np.all(np.isfinite(z)):
+        raise ValidationError("non-finite radial sample or center")
+    parts = []
+    i0 = 0
+    for s in config.components:
+        i1 = i0 + s.radii.size
+        parts.append((np.maximum(z[i0:i1], s.r_min), z[i1:i1 + s.grid.d]))
+        i0 = i1 + s.grid.d
+    # the quadrature of geometry.volume on the clamped radii
+    vol = math.fsum(float(np.dot(s.grid.weights, r ** s.grid.d)) / s.grid.d
+                    for s, (r, _) in zip(config.components, parts))
     t = vol ** (-1.0 / config.components[0].grid.d)
-    return _rebuild(config, _pack(config) * t)
+    return Configuration(tuple(
+        StarShape(grid=s.grid, center=c * t,
+                  radii=np.maximum(r * t, s.r_min), r_min=s.r_min)
+        for s, (r, c) in zip(config.components, parts)))
 
 
 # Resolvability cap on the radial graph: max |grad_tau r| per component
@@ -428,8 +436,7 @@ def _resolved(config: Configuration, params: EnergyParams) -> bool:
     for s in config.components:
         d = s.grid.d
         r_vol = (volume(s) / unit_ball_volume(d)) ** (1.0 / d)
-        comps = s.grid.grad_components(s.radii)
-        slope2 = sum(c * c for c in comps)
+        slope2 = sum(c * c for c in s.slopes)
         if float(slope2.max()) > (SLOPE_LIMIT * r_vol) ** 2:
             return False
         if pinch and float(s.radii.min()) <= s.r_min:
@@ -499,10 +506,12 @@ def minimize(init: Configuration, params: EnergyParams,
     vq = frozen_rule(init, params)
     band = boundary_form(params)
 
-    config = _rebuild(init, _band_limited(init, _pack(init))) if band else init
+    z = _pack(init)
+    if band:
+        z = _band_limited(init, z)
     # certify the start: from an overlapping one (f = inf) any finite
     # candidate would pass the line search
-    config = _project_volume(config).validate()
+    config = _project_volume(init, z).validate()
     f = _objective(config, params, vq)
     converged = False
     iterations = 0
@@ -543,7 +552,7 @@ def minimize(init: Configuration, params: EnergyParams,
         t = step
         accepted = False
         while t * r_scale > 1e-16:
-            cand = _project_volume(_rebuild(config, z - t * direction))
+            cand = _project_volume(config, z - t * direction)
             f_new = _objective(cand, params, vq)
             if f_new < f and f_new <= f - ARMIJO_C1 * t * gd:
                 accepted = True

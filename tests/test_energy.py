@@ -334,6 +334,26 @@ def test_alpha_range_enforced():
         EnergyParams(d=2, p=-1.0, alpha=1.0)
 
 
+def test_dimension_mismatch_rejected():
+    # a d=2 disk under d=3 parameters, and d=3 points against a disk
+    disk = _ball(2, 1.0, n=32)
+    far = _ball(2, 0.5, n=32, c=(5.0, 0.0))
+    p3 = EnergyParams(d=3, p=2.0, alpha=2.5)
+    p2 = EnergyParams(d=2, p=2.0, alpha=1.0)
+    with pytest.raises(ValidationError):
+        riesz_self(disk, p3)
+    with pytest.raises(ValidationError):
+        interaction(disk, far, p3)
+    with pytest.raises(ValidationError):
+        potential(disk, np.zeros(2), p3)
+    with pytest.raises(ValidationError):
+        potential(disk, np.zeros(3), p2)
+    with pytest.raises(ValidationError):
+        potential(disk, np.zeros((4, 3)), p2)
+    with pytest.raises(ValidationError):
+        weighted_perimeter(disk, p3)
+
+
 # ----------------------------------------------------------------------
 # pair kernels against a plain broadcast reference
 # ----------------------------------------------------------------------

@@ -10,6 +10,9 @@ from isoshape.errors import OverlapError, ValidationError
 from isoshape.geometry import (
     Configuration,
     StarShape,
+    _bilinear,
+    _periodic_d1,
+    _spline,
     config_membership,
     dilate,
     load_configuration,
@@ -24,6 +27,7 @@ from isoshape.geometry import (
     unit_ball_volume,
     volume,
 )
+from isoshape.oracle import random_star
 
 
 def test_grid_weights_sum_to_sphere_area():
@@ -213,3 +217,88 @@ def test_load_rejects_invalid_file(tmp_path):
                                  "radial": [-1.0] * 32}]}))
     with pytest.raises(ValidationError):
         load_configuration(path)
+
+
+# ----------------------------------------------------------------------
+# stencils and per-grid / per-shape caches
+# ----------------------------------------------------------------------
+
+def _rolled_d1(f, h):
+    """The periodic stencil written with np.roll along the last axis."""
+    fm1, fp1 = np.roll(f, 1, axis=-1), np.roll(f, -1, axis=-1)
+    fm2, fp2 = np.roll(f, 2, axis=-1), np.roll(f, -2, axis=-1)
+    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (2, 9), (2, 20), (3, 8), (3, 9)])
+def test_periodic_stencil_matches_the_rolled_form(d, n):
+    g = make_grid(d, n)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(g.n_nodes)
+    t = [rng.standard_normal(g.n_nodes) for _ in range(d - 1)]
+    if d == 2:
+        h = 2.0 * math.pi / n
+        assert np.array_equal(_periodic_d1(f, h), _rolled_d1(f, h))
+        assert np.array_equal(g.grad_components(f)[0], _rolled_d1(f, h))
+        assert np.array_equal(g.grad_components_T(t), -_rolled_d1(t[0], h))
+        return
+    # d=3: the stencil runs along the azimuth, the last axis of shape2d
+    h = 2.0 * math.pi / g.azimuth.size
+    F = f.reshape(g.shape2d)
+    sin = np.sin(g.polar)[:, None]
+    assert np.array_equal(_periodic_d1(F, h), _rolled_d1(F, h))
+    assert np.array_equal(g.grad_components(f)[1],
+                          (_rolled_d1(F, h) / sin).ravel())
+    want = (g.dpolar.T @ t[0].reshape(g.shape2d)
+            - _rolled_d1(t[1].reshape(g.shape2d) / sin, h)).ravel()
+    assert np.array_equal(g.grad_components_T(t), want)
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (3, 8)])
+def test_tangent_frame_is_built_once_and_read_only(d, n):
+    g = make_grid(d, n)
+    frame = g.tangent_frame()
+    again = g.tangent_frame()
+    assert len(frame) == d - 1
+    assert all(a is b for a, b in zip(frame, again, strict=True))
+    for e in frame:
+        assert not e.flags.writeable
+        assert np.abs(np.einsum("ij,ij->i", e, e) - 1.0).max() <= 1e-14
+        assert np.abs(np.einsum("ij,ij->i", e, g.nodes)).max() <= 1e-14
+        with pytest.raises(ValueError):
+            e[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 9), (3, 8)])
+def test_shape_slopes_are_the_grid_components_cached(d, n):
+    shape = random_star(np.random.default_rng(n), n=n, d=d)
+    slopes = shape.slopes
+    assert shape.slopes is slopes
+    want = shape.grid.grad_components(shape.radii)
+    assert len(slopes) == len(want) == d - 1
+    for c, w in zip(slopes, want):
+        assert np.array_equal(c, w)
+        assert not c.flags.writeable
+
+
+@pytest.mark.parametrize("d,n", [(2, 64), (3, 12)])
+def test_radial_at_directions_wraps_the_azimuth_like_np_mod(d, n):
+    # including azimuths in (-4.4e-16, 0), which np.mod rounds up to
+    # 2 pi; on some shapes the spline differs there from its value at 0
+    rng = np.random.default_rng(n)
+    psi = np.concatenate([-rng.uniform(0.0, 4.4e-16, 100),
+                          rng.uniform(-math.pi, math.pi, 500),
+                          [0.0, -0.0, math.pi, -math.pi]])
+    phi = (rng.uniform(0.0, math.pi, psi.size) if d == 3
+           else np.full(psi.size, 0.5 * math.pi))
+    dirs = np.stack([np.sin(phi) * np.cos(psi), np.sin(phi) * np.sin(psi),
+                     np.cos(phi)], axis=1)[:, :d]
+    wrapped = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
+    for seed in range(8):
+        shape = random_star(np.random.default_rng(seed), n=n, d=d)
+        if d == 2:
+            want = _spline(shape)(wrapped)
+        else:
+            want = _bilinear(shape, np.arccos(np.clip(dirs[:, 2], -1.0, 1.0)),
+                             wrapped)
+        assert np.array_equal(radial_at_directions(shape, dirs), want)

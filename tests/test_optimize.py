@@ -495,3 +495,31 @@ def test_records_to_csv_format():
     assert lines[1] == ("0.5,2,1,2,0.33333333333333331,1.5,5,1,1,0,10,1")
     assert csv.endswith("\n")
     assert records_to_csv([rec]) == csv
+
+
+def test_project_volume_rejects_non_finite_trial_vectors():
+    from isoshape.optimize import _pack, _project_volume
+    grid = make_grid(2, 20)
+    params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=0.5)
+    config = build_initial_config(params, grid, ("multiball", 2, 2.5))
+    z = _pack(config)
+    projected = _project_volume(config, z)
+    assert total_volume(projected) == pytest.approx(1.0, abs=1e-12)
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in (0, 20, z.size - 1):   # a radius, a center, the last center
+            trial = z.copy()
+            trial[i] = bad
+            with pytest.raises(ValidationError):
+                _project_volume(config, trial)
+
+
+def test_sweep_does_not_depend_on_the_thread_count(monkeypatch):
+    # the fresh starts share the grid's tangent frame and H1 factor
+    params = EnergyParams(d=2, p=2.0, alpha=1.0)
+    opts = OptimizerOptions(max_iter=40, init=("perturbed-ball", 0.2, 3))
+    csv = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ISOSHAPE_THREADS", threads)
+        csv.append(records_to_csv(
+            sweep_gamma([0.1, 1.0, 10.0], params, make_grid(2, 20), opts)))
+    assert csv[0] == csv[1]

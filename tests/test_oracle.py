@@ -171,6 +171,7 @@ def test_mc_riesz_ball_d3_exact():
     # sample standard error is trustworthy and 3 sigma is a real gate
     ball = make_ball(1.0, np.zeros(3), make_grid(3, 24))
     est, se = mc_riesz(ball, None, 1.0, 1_000_000, 11)
+    assert type(est) is float and type(se) is float
     exact = 32 * math.pi ** 2 / 15
     assert abs(est - exact) <= 3 * se
     assert se < 0.005 * exact
