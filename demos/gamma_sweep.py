@@ -4,8 +4,9 @@ The map gamma -> e(gamma) = min E_gamma is concave and nondecreasing
 (it is an infimum of affine functions of gamma), which makes the sweep
 a cheap global sanity check of the optimizer: any dent in the curve
 means some gamma point stopped short of its minimum.  The sweep runs
-one fresh minimization per gamma (in a thread pool), then a sequential
-warm-start pass that keeps the lower-energy candidate.
+the gammas in increasing order: at each one a fresh minimization, then
+a warm start from the previous gamma's minimizer, keeping the
+lower-energy candidate.
 
 Artifacts (CSV table + SVG chart with log-gamma axis) are written next
 to this script under demos/out/.

@@ -35,7 +35,6 @@ from .energy import (
     RieszResult,
     VolumeQuadrature,
     interaction,
-    penalized_energy,
     potential,
     riesz_self,
     total_energy,

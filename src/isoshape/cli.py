@@ -23,11 +23,10 @@ Defaults: d=2, p=2, alpha=1, gamma=0.01, n=128, seed=0, max_iter=2000,
 g_tol=1e-6.
 
 Exit codes: 0 success, 1 check violation, 2 usage or configuration
-error, 3 numerical failure during a run.  ISOSHAPE_THREADS caps sweep
-workers; a value that is not an integer is a configuration error
-(exit 2).  CSV output uses '.' decimal and 17 significant digits so
-reruns of an identical RunConfig reproduce files byte for byte; SVG is
-emitted directly as polylines with no plotting dependency.
+error, 3 numerical failure during a run.  CSV output uses '.' decimal
+and 17 significant digits so reruns of an identical RunConfig reproduce
+files byte for byte; SVG is emitted directly as polylines with no
+plotting dependency.
 """
 
 from __future__ import annotations
@@ -98,8 +97,10 @@ class RunConfig:
                               f"choose from {COMMANDS}")
         if self.n < 8:
             raise ConfigError(f"key 'n': grid resolution {self.n}; need n >= 8")
-        if any(g <= 0 for g in self.gammas):
-            raise ConfigError("key 'gammas': every gamma must be positive")
+        if not self.gammas or not all(math.isfinite(g) and g > 0
+                                      for g in self.gammas):
+            raise ConfigError("key 'gammas': need a nonempty list of "
+                              "finite, positive gammas")
         if self.seed < 0:
             raise ConfigError(f"key 'seed': seed {self.seed}; need seed >= 0")
 

@@ -104,7 +104,6 @@ __all__ = [
     "interaction",
     "potential",
     "total_energy",
-    "penalized_energy",
 ]
 
 # Largest alpha evaluated in the boundary form; larger alpha use the
@@ -339,36 +338,58 @@ def _boundary_nodes(grid: SphereGrid, center, r, comps):
     return Y, (grid.weights * r ** (grid.d - 2))[:, None] * T
 
 
-def _coarse_nodes(shape: StarShape):
-    """Boundary nodes of the coarse level, with its own stencils.
+def _every_other_azimuth(g: SphereGrid, a):
+    """The rows of a (one per node of the d=3 grid g) at every other
+    azimuth."""
+    a = a.reshape(g.shape2d + a.shape[1:])[:, ::2]
+    return a.reshape(-1, *a.shape[2:])
 
-    d=2: the uniform grid of m = ceil(n/2) angles; for even n its radii
-    are those of the even-indexed nodes, for odd n the values of the
-    trigonometric interpolant of the n radii.  d=3: every other azimuth,
-    with doubled weights and the stencil of n azimuths.
+
+def _coarse_level(g: SphereGrid):
+    """(coarse grid, E) of the fine grid g, built once per grid and kept
+    in its ``_cache``; E is the m x n matrix of the trigonometric
+    interpolant for odd d=2 n, else None.
+
+    d=2: the uniform grid of m = ceil(n/2) angles.  d=3: every other
+    azimuth, with doubled weights and the stencil of n azimuths.
     """
-    g, r = shape.grid, shape.radii
+    level = g._cache.get("coarse")
+    if level is not None:
+        return level
+    E = None
     if g.d == 2:
         m = (g.n + 1) // 2
         theta = 2.0 * math.pi * np.arange(m) / m
-        if g.n % 2 == 0:
-            rc = r[::2]
-        else:
-            k = np.fft.fftfreq(g.n, 1.0 / g.n)
-            rc = (np.exp(1j * np.outer(theta, k)) @ np.fft.fft(r)).real / g.n
+        if g.n % 2:
+            E = np.exp(1j * np.outer(theta, np.fft.fftfreq(g.n, 1.0 / g.n)))
+            E.setflags(write=False)
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         coarse = SphereGrid(d=2, n=m, nodes=nodes, theta=theta,
                             weights=np.full(m, 2.0 * math.pi / m))
     else:
-        def every_other_azimuth(a):
-            a = a.reshape(g.shape2d + a.shape[1:])[:, ::2]
-            return a.reshape(-1, *a.shape[2:])
-
-        coarse = SphereGrid(d=3, n=g.n, nodes=every_other_azimuth(g.nodes),
-                            weights=2.0 * every_other_azimuth(g.weights),
+        coarse = SphereGrid(d=3, n=g.n, nodes=_every_other_azimuth(g, g.nodes),
+                            weights=2.0 * _every_other_azimuth(g, g.weights),
                             polar=g.polar, azimuth=g.azimuth[::2],
                             dpolar=g.dpolar)
-        rc = every_other_azimuth(r)
+    level = g._cache["coarse"] = (coarse, E)
+    return level
+
+
+def _coarse_nodes(shape: StarShape):
+    """Boundary nodes of the coarse level, with its own stencils.
+
+    d=2: for even n the radii are those of the even-indexed nodes, for
+    odd n the values of the trigonometric interpolant of the n radii.
+    d=3: the radii at every other azimuth.
+    """
+    g, r = shape.grid, shape.radii
+    coarse, E = _coarse_level(g)
+    if g.d == 3:
+        rc = _every_other_azimuth(g, r)
+    elif E is None:
+        rc = r[::2]
+    else:
+        rc = (E @ np.fft.fft(r)).real / g.n
     return _boundary_nodes(coarse, shape.center, rc, coarse.grad_components(rc))
 
 
@@ -689,23 +710,14 @@ def total_energy(config, params: EnergyParams,
                for i in range(len(comps)) for j in range(i + 1, len(comps))]
     riesz = math.fsum([r.value for r in selfs] + [2.0 * c for c in crosses])
     err = math.fsum(r.error for r in selfs)
-    vol = total_volume(config)
     return EnergyBreakdown(
-        volume=vol,
+        volume=total_volume(config),
         weighted_perimeter=per,
         riesz=riesz,
         gamma=params.gamma,
         total=per + params.gamma * riesz,
-        penalty=params.lam * abs(vol - 1.0),
         riesz_error_estimate=err,
     )
-
-
-def penalized_energy(config, params: EnergyParams,
-                     vq: VolumeQuadrature | None = None) -> float:
-    """Penalized functional F_gamma^lambda = E_gamma + lambda | |Omega| - 1 |."""
-    bd = total_energy(config, params, vq)
-    return bd.total + bd.penalty
 
 
 @dataclass(frozen=True)
@@ -717,12 +729,11 @@ class EnergyBreakdown:
     riesz: float
     gamma: float
     total: float
-    penalty: float
     riesz_error_estimate: float
 
     def __post_init__(self):
         terms = (self.volume, self.weighted_perimeter, self.riesz,
-                 self.total, self.penalty)
+                 self.total)
         if not all(math.isfinite(t) and t >= 0 for t in terms):
             raise ValidationError(f"energy terms must be finite and nonnegative: {self}")
 
@@ -733,7 +744,6 @@ class EnergyBreakdown:
             "riesz": self.riesz,
             "gamma": self.gamma,
             "total": self.total,
-            "penalty": self.penalty,
             "riesz_error_estimate": self.riesz_error_estimate,
         }
 

@@ -24,11 +24,11 @@ exactly.  The periodic stencil wrap-pads its axis once and reads the
 four shifted operands as slices of the padded copy.
 
 What depends only on the grid or only on the shape is computed once and
-kept read-only in their ``_cache`` dicts: a grid's tangent frame (and
-the optimizer's H^1 factor), a shape's radial slopes
-``StarShape.slopes`` and its spline interpolant.  Every perimeter,
-boundary-node and resolvability evaluation of one shape reads the same
-slopes.
+kept read-only in their ``_cache`` dicts: a grid's tangent frame and
+the coarse level of its Riesz error bar (and the optimizer's H^1
+factor), a shape's radial slopes ``StarShape.slopes`` and its spline
+interpolant.  Every perimeter, boundary-node and resolvability
+evaluation of one shape reads the same slopes.
 
 A StarShape also has a continuous interpretation used by the raster and
 Monte Carlo oracles: the radial samples are interpolated (periodic
@@ -143,8 +143,8 @@ class SphereGrid:
     polar: np.ndarray | None = None    # d=3: polar angles, ascending, no poles
     azimuth: np.ndarray | None = None  # d=3: uniform azimuths
     dpolar: np.ndarray | None = None   # d=3: dense polar derivative matrix
-    # per-grid arrays built on first use: the tangent frame and the
-    # optimizer's H^1 factor
+    # per-grid arrays built on first use: the tangent frame, the coarse
+    # level of the Riesz error bar and the optimizer's H^1 factor
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -187,8 +187,7 @@ class SphereGrid:
     def tangent_frame(self):
         """Orthonormal tangent vectors at each node, ambient coordinates.
 
-        Built once per grid and kept read-only in ``_cache``; threads that
-        race on the first call build the same bits.
+        Built once per grid and kept read-only in ``_cache``.
         """
         frame = self._cache.get("tangent_frame")
         if frame is not None:
@@ -344,7 +343,6 @@ class EnergyParams:
     p: float
     alpha: float
     gamma: float = 0.0
-    lam: float = 0.0
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -355,8 +353,6 @@ class EnergyParams:
             raise ValidationError(f"alpha={self.alpha} outside (0, d) with d={self.d}")
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ValidationError(f"gamma={self.gamma}; need gamma >= 0")
-        if not (self.lam >= 0 and math.isfinite(self.lam)):
-            raise ValidationError(f"lambda={self.lam}; need lambda >= 0")
 
 
 # ----------------------------------------------------------------------

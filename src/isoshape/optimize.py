@@ -31,8 +31,8 @@ out the k^2 stiffness of high angular modes.  The operator is assembled
 from the grid's own tangential stencils (``SphereGrid.grad_components``
 applied to the columns of the identity), so u^T (M + D^T M D) u is
 the H^1 norm that ``asphericity`` measures.  Its Cholesky factor is
-built once per grid and kept on it, so every run on that grid, and
-every thread of a sweep, shares it.
+built once per grid and kept on it, so every run on that grid, the
+fresh and warm starts of a sweep included, shares it.
 
 In the boundary form the descent moves only within the band of angular
 modes that the tangential stencils resolve (``_band_limited``), and a
@@ -54,8 +54,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,7 +71,6 @@ from .energy import (
     weighted_perimeter,
 )
 from .errors import (
-    ConfigError,
     CriticalExponentError,
     IsoshapeError,
     OverlapError,
@@ -256,7 +253,7 @@ def _h1_operator(grid: SphereGrid):
 
 def _h1_solve(grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
     """(M + D^T M D)^{-1} rhs, with the Cholesky factor cached on the
-    grid.  Two threads may both build it once; the bits are the same."""
+    grid."""
     factor = grid._cache.get("h1_factor")
     if factor is None:
         factor = grid._cache["h1_factor"] = cho_factor(_h1_operator(grid))
@@ -564,7 +561,7 @@ def minimize(init: Configuration, params: EnergyParams,
         f = f_new
         step = min(t * 2.0, STEP_MAX)
 
-    bd = total_energy(config, replace(params, lam=0.0), vq)
+    bd = total_energy(config, params, vq)
     record = SweepRecord(
         gamma=params.gamma, p=params.p, alpha=params.alpha, d=params.d,
         energy=bd.total, perimeter=bd.weighted_perimeter, riesz=bd.riesz,
@@ -578,47 +575,33 @@ def minimize(init: Configuration, params: EnergyParams,
 # gamma sweeps
 # ----------------------------------------------------------------------
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("ISOSHAPE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"ISOSHAPE_THREADS={env!r}: expected an "
-                              "integer worker count") from None
-    return max(1, min(n_jobs, os.cpu_count() or 1))
-
-
 def sweep_gamma(gamma_list, params: EnergyParams, grid: SphereGrid,
                 opts: OptimizerOptions = OptimizerOptions()):
     """Minimize at each gamma; keep the better of fresh and warm starts.
 
-    Fresh starts run in parallel (ISOSHAPE_THREADS workers); the warm
-    start pass chains the previous minimizer through increasing gamma.
-    A run that fails with an IsoshapeError becomes an inf row (fresh
-    pass) or is skipped (warm pass); any other exception propagates.
+    The gammas run in increasing order, one after another.  Each runs a
+    fresh start from ``opts.init``, then a warm start from the previous
+    gamma's minimizer.  A fresh start that fails with an IsoshapeError
+    becomes an inf row, a failed warm start is skipped; any other
+    exception propagates.
     """
     gammas = [float(g) for g in gamma_list]
-    if not gammas or any(g <= 0 for g in gammas) or sorted(gammas) != gammas:
-        raise ValidationError("gamma list must be nonempty, positive, sorted")
-
-    def fresh(gamma):
-        p = replace(params, gamma=gamma)
-        try:
-            init = build_initial_config(p, grid, opts.init)
-            return minimize(init, p, opts)
-        except IsoshapeError:
-            return None, SweepRecord(gamma, params.p, params.alpha, params.d,
-                                     math.inf, math.inf, math.inf, math.nan,
-                                     0, math.inf, 0, False)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(gammas))) as ex:
-        results = list(ex.map(fresh, gammas))
+    if not gammas or not all(math.isfinite(g) and g > 0 for g in gammas) \
+            or sorted(gammas) != gammas:
+        raise ValidationError(
+            "gamma list must be nonempty, finite, positive, sorted")
 
     out = []
     prev_config = None
-    for gamma, (config, record) in zip(gammas, results):
+    for gamma in gammas:
         p = replace(params, gamma=gamma)
+        try:
+            init = build_initial_config(p, grid, opts.init)
+            config, record = minimize(init, p, opts)
+        except IsoshapeError:
+            config, record = None, SweepRecord(
+                gamma, params.p, params.alpha, params.d, math.inf, math.inf,
+                math.inf, math.nan, 0, math.inf, 0, False)
         if prev_config is not None:
             try:
                 warm_config, warm_record = minimize(prev_config, p, opts)

@@ -69,8 +69,13 @@ def test_parse_rejections(tmp_path):
         parse_config(["eval", "--n", "4"])
     with pytest.raises(ConfigError, match="--gammas"):
         parse_config(["sweep", "--gammas", "1,abc"])
-    with pytest.raises(ConfigError, match="'gammas'"):
-        parse_config(["sweep", "--gammas=-1,1"])
+    for gammas in ("-1,1", "0.1,nan", "inf", ","):
+        with pytest.raises(ConfigError, match="'gammas'"):
+            parse_config(["sweep", f"--gammas={gammas}"])
+    for raw in ([], [0.1, float("nan")], [float("inf")]):
+        fp.write_text(json.dumps({"gammas": raw}))
+        with pytest.raises(ConfigError, match="'gammas'"):
+            parse_config(["sweep", "--config", str(fp)])
     with pytest.raises(ConfigError, match="'seed'"):
         parse_config(["verify", "--seed", "-1"])
 
@@ -190,6 +195,9 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
 def test_exit_code_mapping(tmp_path, monkeypatch):
     assert main(["eval", "--alpha", "9"]) == 2
     assert main(["eval", "--config", str(tmp_path / "none.json")]) == 2
+    for gammas in ("0.1,nan", "inf", ","):
+        assert main(["sweep", f"--gammas={gammas}",
+                     "--out", str(tmp_path)]) == 2
 
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")
@@ -200,14 +208,6 @@ def test_exit_code_mapping(tmp_path, monkeypatch):
 
     monkeypatch.setattr("isoshape.oracle.run_all_checks", boom)
     assert main(["verify", "--out", str(tmp_path)]) == 3
-
-
-def test_bad_thread_setting_is_config_error(tmp_path, monkeypatch, capsys):
-    # fails while starting the worker pool, before any descent runs
-    monkeypatch.setenv("ISOSHAPE_THREADS", "abc")
-    assert main(["sweep", "--n", "16", "--gammas", "0.1,1",
-                 "--out", str(tmp_path)]) == 2
-    assert "ISOSHAPE_THREADS" in capsys.readouterr().err
 
 
 def _fake_records():

@@ -14,7 +14,6 @@ from isoshape.energy import (
     interaction,
     pair_potential_field,
     pair_sum,
-    penalized_energy,
     potential,
     riesz_self,
     riesz_sums,
@@ -272,7 +271,7 @@ def test_potential_points_and_components():
 
 
 def test_total_energy_breakdown_identities():
-    params = EnergyParams(d=2, p=1.0, alpha=1.0, gamma=0.1, lam=10.0)
+    params = EnergyParams(d=2, p=1.0, alpha=1.0, gamma=0.1)
     r0 = math.pi ** -0.5
     ball = _ball(2, r0)
     bd = total_energy(ball, params)
@@ -285,7 +284,6 @@ def test_total_energy_breakdown_identities():
     assert bd.riesz == pytest.approx(
         scaled_ref, abs=r0 ** 3 * V_B1_D2_A1_3SIG + bd.riesz_error_estimate)
     assert bd.total == pytest.approx(2.0 + 0.1 * bd.riesz, abs=1e-12)
-    assert bd.penalty == pytest.approx(0.0, abs=1e-8)
 
 
 def test_total_energy_gamma_zero_is_perimeter():
@@ -307,20 +305,6 @@ def test_total_energy_decomposition_two_components():
              + float(riesz_self(b, params, vq))
              + 2.0 * interaction(a, b, params, vq))
     assert bd.riesz == pytest.approx(parts, abs=1e-12)
-
-
-def test_penalized_energy_piecewise():
-    params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=0.0, lam=10.0)
-    r0 = math.pi ** -0.5
-    for t, expect in ((1.1, 1.0), (0.9, 1.0)):
-        shape = _ball(2, r0 * math.sqrt(t))
-        bd = total_energy(shape, params)
-        assert bd.penalty == pytest.approx(expect, rel=1e-8)
-        assert penalized_energy(shape, params) == pytest.approx(
-            bd.total + bd.penalty, abs=1e-12)
-    ball = _ball(2, r0)
-    assert penalized_energy(ball, params) == pytest.approx(
-        total_energy(ball, params).total, abs=1e-7)
 
 
 def test_alpha_range_enforced():
@@ -550,6 +534,24 @@ def test_coarse_level_d2_is_the_half_grid(n):
     _, s_c = riesz_sums((shape,), params, None)
     s_half, _ = riesz_sums((coarse,), params, None)
     assert s_c == pytest.approx(s_half, rel=1e-13)
+
+
+@pytest.mark.parametrize("d,n", [(2, 48), (2, 49), (3, 12)])
+def test_coarse_level_cache_keeps_riesz_values(d, n):
+    # the coarse grid (and the interpolation matrix of odd n) is built
+    # once per grid; values and bars on a reused grid equal those on a
+    # fresh one bit for bit
+    params = EnergyParams(d=d, p=2.0, alpha=1.0)
+    grid = make_grid(d, n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        shape = random_star(rng, n=n, d=d)
+        on_grid = StarShape(grid=grid, center=shape.center, radii=shape.radii)
+        first = riesz_self(on_grid, params)
+        again = riesz_self(on_grid, params)
+        fresh = riesz_self(shape, params)
+        assert first == again == fresh
+    assert "coarse" in grid._cache
 
 
 def test_volume_form_above_boundary_alpha_max():

@@ -1,14 +1,17 @@
 """Optimizer: exact gradients, scaling maps, descent, sweeps, CSV."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isoshape.energy import VolumeQuadrature, frozen_rule, total_energy
 from isoshape.errors import (
-    ConfigError,
     CriticalExponentError,
     OverlapError,
     ValidationError,
@@ -359,20 +362,10 @@ def test_sweep_gamma_basic():
     assert records[0].energy < records[1].energy
     assert all(r.volume == pytest.approx(1.0, abs=1e-10) for r in records)
 
-    for bad in ([], [0.01, 0.005], [-1.0, 1.0]):
+    for bad in ([], [0.01, 0.005], [-1.0, 1.0], [0.1, math.nan], [math.inf],
+                [0.1, math.inf]):
         with pytest.raises(ValidationError):
             sweep_gamma(bad, params, grid, opts)
-
-
-def test_worker_count_env(monkeypatch):
-    from isoshape.optimize import _worker_count
-    monkeypatch.setenv("ISOSHAPE_THREADS", "3")
-    assert _worker_count(8) == 3
-    monkeypatch.delenv("ISOSHAPE_THREADS")
-    assert 1 <= _worker_count(8) <= 8
-    monkeypatch.setenv("ISOSHAPE_THREADS", "abc")
-    with pytest.raises(ConfigError, match="ISOSHAPE_THREADS"):
-        _worker_count(8)
 
 
 def test_sweep_gamma_catches_only_package_errors(monkeypatch):
@@ -394,7 +387,7 @@ def test_sweep_gamma_catches_only_package_errors(monkeypatch):
     with pytest.raises(TypeError):
         sweep_gamma([0.1], params, grid)
 
-    # the warm pass: the fresh runs succeed, the warm one has a bug
+    # the fresh runs succeed, the warm one (the third call) has a bug
     calls = []
 
     def warm_bug(init, p, opts):
@@ -404,7 +397,6 @@ def test_sweep_gamma_catches_only_package_errors(monkeypatch):
         return init, opt.SweepRecord(p.gamma, p.p, p.alpha, p.d, 1.0, 1.0,
                                      0.0, 1.0, 1, 0.0, 1, True)
 
-    monkeypatch.setenv("ISOSHAPE_THREADS", "1")
     monkeypatch.setattr(opt, "minimize", warm_bug)
     with pytest.raises(TypeError):
         sweep_gamma([0.1, 0.2], params, grid)
@@ -420,7 +412,6 @@ def test_sweep_builds_the_h1_operator_once_per_grid(monkeypatch):
         builds.append(grid)
         return operator(grid)
 
-    monkeypatch.setenv("ISOSHAPE_THREADS", "1")
     monkeypatch.setattr(opt, "_h1_operator", counted)
     grid = make_grid(2, 20)
     opts = OptimizerOptions(max_iter=10, init=("perturbed-ball", 0.2, 3))
@@ -428,27 +419,6 @@ def test_sweep_builds_the_h1_operator_once_per_grid(monkeypatch):
                           grid, opts)
     assert all(math.isfinite(r.energy) for r in records)
     assert builds == [grid]
-
-
-def test_h1_solve_threads_share_one_factor():
-    # threads racing on a fresh grid may each build the factor; every
-    # solve still returns the serial result, bit for bit
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-    from isoshape.optimize import _h1_solve
-    rhs = np.random.default_rng(3).standard_normal((8, 8 * 16))
-    serial = [_h1_solve(make_grid(3, 8), b) for b in rhs]
-    grid = make_grid(3, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            futures = [ex.submit(_h1_solve, grid, b) for b in rhs]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(a, b) for a, b in zip(results, serial))
-    assert list(grid._cache) == ["h1_factor"]
 
 
 @pytest.mark.parametrize("d,n,alpha", [(2, 20, 1.0), (3, 8, 1.0), (3, 8, 2.5)])
@@ -513,13 +483,46 @@ def test_project_volume_rejects_non_finite_trial_vectors():
                 _project_volume(config, trial)
 
 
-def test_sweep_does_not_depend_on_the_thread_count(monkeypatch):
-    # the fresh starts share the grid's tangent frame and H1 factor
-    params = EnergyParams(d=2, p=2.0, alpha=1.0)
-    opts = OptimizerOptions(max_iter=40, init=("perturbed-ball", 0.2, 3))
-    csv = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("ISOSHAPE_THREADS", threads)
-        csv.append(records_to_csv(
-            sweep_gamma([0.1, 1.0, 10.0], params, make_grid(2, 20), opts)))
-    assert csv[0] == csv[1]
+# records_to_csv of three sweeps (p=2, alpha=1, max_iter=60), frozen
+# from the sweep that ran every fresh start before the warm starts.
+# Each runs in a child process with one BLAS thread: the Cholesky factor
+# of the d=3 H^1 operator, and with it the d=3 descent, depends on the
+# BLAS thread count.
+_FROZEN_SWEEPS = [
+    (2, 20, ("perturbed-ball", 0.2, 3), [0.1, 1.0, 10.0], [
+        "0.10000000000000001,2,1,2,1.4311463650432779,1.1283791670959704,3.027671979473074,1.0000000000000002,1,2.0733944967160464e-06,57,1",
+        "1,2,1,2,4.1560511465690411,1.1283791670959702,3.0276719794730709,0.99999999999999989,1,2.073394496879633e-06,1,1",
+        "10,2,1,2,29.349118367237168,2.1445731833827506,2.7204545183854418,1,1,3.7549589688803953,27,0",
+    ]),
+    (2, 20, ("multiball", 2, 2.5), [1.0, 30.0, 100.0], [
+        "1,2,1,2,4.409799400973526,1.5830829338706827,2.8267164671028433,1,2,inf,32,0",
+        "30,2,1,2,73.208567656527322,5.8304293201264876,2.2459379445466947,0.99999999999999978,2,inf,34,0",
+        "100,2,1,2,225.83909303052909,11.861281632070614,2.1397781139845846,0.99999999999999989,2,inf,24,0",
+    ]),
+    (3, 8, ("perturbed-ball", 0.2, 2), [0.1, 1.0], [
+        "0.10000000000000001,2,1,3,2.0550415100879982,1.8610514935596134,1.939900165283849,0.99999999999999967,1,0.00044324132493951061,38,1",
+        "1,2,1,3,3.8009496154386659,1.8610545280169171,1.9398950874217489,1,1,0.0053618538621673234,56,1",
+    ]),
+]
+
+
+@pytest.mark.parametrize("d,n,init,gammas,rows", _FROZEN_SWEEPS)
+def test_sweep_frozen_reference(d, n, init, gammas, rows):
+    code = (
+        "import sys\n"
+        "from isoshape.geometry import EnergyParams, make_grid\n"
+        "from isoshape.optimize import (OptimizerOptions, records_to_csv,\n"
+        "                               sweep_gamma)\n"
+        f"records = sweep_gamma({gammas!r}, EnergyParams(d={d}, p=2.0,"
+        f" alpha=1.0), make_grid({d}, {n}),"
+        f" OptimizerOptions(max_iter=60, init={init!r}))\n"
+        "sys.stdout.write(records_to_csv(records))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "\n".join([SWEEP_CSV_HEADER, *rows]) + "\n"
