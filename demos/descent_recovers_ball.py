@@ -41,7 +41,7 @@ def main(argv=None):
             if it % 20 == 0:
                 trace.append((it, energy, gnorm))
 
-        opts = OptimizerOptions(max_iter=2000, g_tol=1e-6)
+        opts = OptimizerOptions(max_iter=2000)
         config, rec = minimize(init, params, opts, callback=cb)
         print(f"mode k={k}: init asphericity {a0:.4f}")
         for it, energy, gnorm in trace[:6]:

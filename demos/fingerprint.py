@@ -27,32 +27,41 @@ One line per fingerprint:
   the sha256 of the final radii and centers, for d=2 and d=3 descents in
   the boundary form, the volume form, a two-ball start and a pinching
   fragmentation run;
-- the sha256 of the CSV of a warm-started 3-gamma sweep and of a
-  ``deficit_report`` table;
+- the sha256 of the CSV and of the SVG chart of a warm-started 3-gamma
+  sweep, and of a ``deficit_report`` table;
+- the sha256 of a ``save_configuration`` -> ``load_configuration``
+  round trip of each descent's final configuration: the file text and
+  the reloaded radii and centers;
 - Riesz values (riesz_self with its error bar, interaction, potential)
   in both forms;
 - mc_riesz (estimate, standard error) on balls, random stars and a
   two-disk configuration, the sha256 of a rasterized mask, and the
-  reports of two oracle corpora.
+  reports of three oracle corpora.
 
 Floats are printed as repr(float(x)), so a value that changes only its
-numpy scalar type prints the same.  Takes about 30 s on 2 CPUs.
+numpy scalar type prints the same.  Takes about 15 s on 2 CPUs.
 
 Run:  PYTHONPATH=src python3 demos/fingerprint.py
 """
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
+
+from isoshape.cli import sweep_svg
 
 from isoshape.energy import interaction, potential, riesz_self
 from isoshape.fuglede import deficit_report, report_to_csv
 from isoshape.geometry import (
     Configuration,
     EnergyParams,
+    load_configuration,
     make_ball,
     make_grid,
+    save_configuration,
 )
 from isoshape.optimize import (
     OptimizerOptions,
@@ -65,6 +74,7 @@ from isoshape.oracle import (
     mc_riesz,
     random_star,
     rasterize,
+    run_en_lower_bound,
     run_raster_agreement,
     run_v_lipschitz,
 )
@@ -113,6 +123,19 @@ def descents():
               f"init={init}: it={rec.iterations} conv={rec.converged} "
               f"E={f(rec.energy)} asph={f(rec.asphericity)} "
               f"shape={sha(*[s.radii for s in shapes], *[s.center for s in shapes])}")
+        print(f"shape file d={d} n={n} alpha={alpha:g} gamma={gamma:g}: "
+              f"{round_trip(config)}")
+
+
+def round_trip(config) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shape.json")
+        save_configuration(path, config)
+        with open(path) as fh:
+            text = fh.read()
+        shapes = load_configuration(path).components
+    return (f"{text_sha(text)} "
+            f"{sha(*[s.radii for s in shapes], *[s.center for s in shapes])}")
 
 
 def tables():
@@ -120,6 +143,7 @@ def tables():
     rows = sweep_gamma(SWEEP["gammas"], params, make_grid(2, SWEEP["n"]),
                        OptimizerOptions(init=SWEEP["init"]))
     print(f"sweep csv {text_sha(records_to_csv(rows))}")
+    print(f"sweep svg {text_sha(sweep_svg(rows))}")
     dr = deficit_report(make_grid(2, DEFICIT["n"]), DEFICIT["modes"],
                         DEFICIT["epsilons"], DEFICIT["R"], DEFICIT["p"],
                         DEFICIT["alpha"], DEFICIT["gamma"])
@@ -161,7 +185,8 @@ def oracles():
     for name, run, kw in (("run_raster_agreement", run_raster_agreement,
                            {"seed": 0, "trials": 4}),
                           ("run_v_lipschitz", run_v_lipschitz,
-                           {"seed": 0, "trials": 2})):
+                           {"seed": 0, "trials": 2}),
+                          ("run_en_lower_bound", run_en_lower_bound, {})):
         print(f"{name} {json.dumps(run(**kw), sort_keys=True)}")
 
 

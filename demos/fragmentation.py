@@ -53,7 +53,7 @@ def main(argv=None):
 
     params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=100.0)
     grid = make_grid(2, args.n)
-    opts = OptimizerOptions(max_iter=1500, g_tol=1e-6)
+    opts = OptimizerOptions(max_iter=1500)
 
     results = {}
     for label, init_spec in (("single ball", ("ball",)),

@@ -33,7 +33,7 @@ def main(argv=None):
     gammas = np.logspace(-3.0, 2.0, args.points)
     params = EnergyParams(d=2, p=1.5, alpha=1.0)
     grid = make_grid(2, args.n)
-    opts = OptimizerOptions(max_iter=800, g_tol=1e-6)
+    opts = OptimizerOptions(max_iter=800)
     records = sweep_gamma(gammas.tolist(), params, grid, opts)
 
     print(f"{'gamma':>12} {'energy':>16} {'perimeter':>14} {'riesz':>14}"

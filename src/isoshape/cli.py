@@ -19,8 +19,7 @@ scale-check  residuals of the scaling identity
 Configuration comes from an optional JSON file (--config) plus flags;
 flags override file values, unknown file keys are rejected, and every
 parse error names the offending key and the violated constraint.
-Defaults: d=2, p=2, alpha=1, gamma=0.01, n=128, seed=0, max_iter=2000,
-g_tol=1e-6.
+Defaults: d=2, p=2, alpha=1, gamma=0.01, n=128, seed=0, max_iter=2000.
 
 Exit codes: 0 success, 1 check violation, 2 usage or configuration
 error, 3 numerical failure during a run.  CSV output uses '.' decimal
@@ -70,7 +69,7 @@ COMMANDS = ("eval", "minimize", "sweep", "fuglede", "verify", "scale-check")
 _FILE_KEYS = {
     "d": int, "p": float, "alpha": float, "gamma": float,
     "gammas": list, "n": int, "seed": int, "out": str, "svg": bool,
-    "max_iter": int, "g_tol": float,
+    "max_iter": int,
 }
 
 _DEFAULT_GAMMAS = tuple(float(g) for g in np.logspace(-3.0, 2.0, 11))
@@ -182,7 +181,7 @@ def parse_config(argv) -> RunConfig:
 
     cfg = dict(d=2, p=2.0, alpha=1.0, gamma=0.01, n=128, seed=0,
                out=".", svg=False, gammas=list(_DEFAULT_GAMMAS),
-               max_iter=2000, g_tol=1e-6)
+               max_iter=2000)
     if ns.config is not None:
         cfg.update(_read_file(ns.config))
     for key in ("d", "p", "alpha", "gamma", "n", "seed", "out", "svg"):
@@ -202,7 +201,7 @@ def parse_config(argv) -> RunConfig:
     except ValidationError as exc:
         raise ConfigError(f"energy parameters: {exc}") from None
     try:
-        opts = OptimizerOptions(max_iter=cfg["max_iter"], g_tol=cfg["g_tol"])
+        opts = OptimizerOptions(max_iter=cfg["max_iter"])
     except ValidationError as exc:
         raise ConfigError(f"optimizer options: {exc}") from None
     return RunConfig(command=ns.command, params=params, n=int(cfg["n"]),
@@ -230,15 +229,16 @@ def _params_dict(params: EnergyParams, n: int) -> dict:
             "gamma": params.gamma, "n": n}
 
 
-def sweep_svg(records, width: int = 720, height: int = 480) -> str:
-    """Two stacked polyline panels: energy and asphericity vs log10 gamma."""
+def sweep_svg(records) -> str:
+    """A 720 x 480 chart of two stacked polyline panels: energy and
+    asphericity vs log10 gamma."""
     recs = [r for r in records if math.isfinite(r.energy)]
     if not recs:
         raise ValidationError("no finite sweep records to plot")
     xs = [math.log10(r.gamma) for r in recs]
     panels = [("energy e(gamma)", [r.energy for r in recs]),
               ("asphericity", [r.asphericity for r in recs])]
-    mx = 70
+    width, height, mx = 720, 480, 70
     panel_h = (height - 60) // 2
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" font-family="monospace" font-size="11">']

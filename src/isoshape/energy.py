@@ -669,6 +669,8 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
     if pts.ndim != 2 or pts.shape[1] != params.d:
         raise ValidationError(f"points of shape {np.shape(x)} are not "
                               f"points of dimension d={params.d}")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("non-finite point coordinate")
     if boundary_form(params):
         Y, N = _boundary_cloud(shapes)
         vals = np.empty(len(pts))
@@ -749,9 +751,7 @@ class EnergyBreakdown:
 
 
 def _check_params(params: EnergyParams, shapes):
-    """Raise ValidationError unless alpha lies in (0, d) and every shape
-    lives on a grid of dimension params.d."""
-    if not 0.0 < params.alpha < params.d:
-        raise ValidationError(f"alpha must lie in (0, d), got {params.alpha}")
+    """Raise ValidationError unless every shape lives on a grid of
+    dimension params.d (EnergyParams itself keeps alpha in (0, d))."""
     if any(s.grid.d != params.d for s in shapes):
         raise ValidationError("shape dimension does not match params.d")

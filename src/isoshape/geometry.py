@@ -35,12 +35,16 @@ Monte Carlo oracles: the radial samples are interpolated (periodic
 cubic spline for d=2, bilinear on the lat-long grid for d=3) and
 membership of a point x is the test |x - c| <= r_interp(angle(x - c)).
 The quadrature path never touches the interpolant.
+
+Every radial sample is at least the floor R_MIN: shapes below it are
+rejected, and the optimizer clamps its trial radii to it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +52,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import OverlapError, ValidationError
 
-R_MIN_DEFAULT = 1e-6
+R_MIN = 1e-6
 
 GRID_KIND = {2: "uniform-angle", 3: "gauss-latlong"}
 
@@ -221,6 +225,8 @@ def make_grid(d: int, n: int) -> SphereGrid:
     """
     if d not in (2, 3):
         raise ValidationError(f"unsupported dimension d={d}; only d=2 and d=3")
+    if not isinstance(n, numbers.Integral):
+        raise ValidationError(f"resolution n={n!r} is not an integer")
     if n < 8:
         raise ValidationError(f"resolution too small: n={n}, need n >= 8")
     if d == 2:
@@ -265,7 +271,6 @@ class StarShape:
     grid: SphereGrid
     center: np.ndarray
     radii: np.ndarray
-    r_min: float = R_MIN_DEFAULT
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -277,8 +282,8 @@ class StarShape:
             raise ValidationError(f"got {r.size} radial samples for {self.grid.n_nodes} nodes")
         if not np.all(np.isfinite(c)) or not np.all(np.isfinite(r)):
             raise ValidationError("non-finite center or radial sample")
-        if np.any(r < self.r_min):
-            raise ValidationError(f"radius below floor r_min={self.r_min:g}")
+        if np.any(r < R_MIN):
+            raise ValidationError(f"radius below floor R_MIN={R_MIN:g}")
         c.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "center", c)
@@ -301,11 +306,11 @@ class StarShape:
         return comps
 
 
-def make_ball(R: float, center, grid: SphereGrid, r_min: float = R_MIN_DEFAULT) -> StarShape:
-    if not R >= r_min:
-        raise ValidationError(f"radius {R:g} below floor r_min={r_min:g}")
+def make_ball(R: float, center, grid: SphereGrid) -> StarShape:
+    if not R >= R_MIN:
+        raise ValidationError(f"radius {R:g} below floor R_MIN={R_MIN:g}")
     return StarShape(grid=grid, center=np.asarray(center, dtype=float),
-                     radii=np.full(grid.n_nodes, float(R)), r_min=r_min)
+                     radii=np.full(grid.n_nodes, float(R)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,8 +381,7 @@ def dilate(obj, t: float):
         raise ValidationError(f"dilation scale must be positive, got {t:g}")
     if isinstance(obj, Configuration):
         return Configuration(tuple(dilate(s, t) for s in obj.components))
-    return StarShape(grid=obj.grid, center=obj.center * t,
-                     radii=obj.radii * t, r_min=obj.r_min)
+    return StarShape(grid=obj.grid, center=obj.center * t, radii=obj.radii * t)
 
 
 # ----------------------------------------------------------------------
@@ -502,23 +506,19 @@ def interpolated_volume(shape: StarShape) -> float:
     return float(tot)
 
 
-def ray_radius(shape: StarShape, dirs=None) -> np.ndarray:
-    """Distance from the origin to the boundary along unit directions.
+def ray_radius(shape: StarShape) -> np.ndarray:
+    """Distance from the origin to the boundary along the grid nodes.
 
     Bisection on the membership test; requires the origin to lie inside.
     """
     g = shape.grid
-    if dirs is None:
-        dirs = g.nodes
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if not membership(shape, np.zeros((1, g.d)))[0]:
         raise ValidationError("origin is not inside the shape; ray cast undefined")
-    m = dirs.shape[0]
-    lo = np.zeros(m)
-    hi = np.full(m, float(np.linalg.norm(shape.center)) + shape.max_radius * (1.0 + 1e-9))
+    lo = np.zeros(g.n_nodes)
+    hi = np.full(g.n_nodes, float(np.linalg.norm(shape.center)) + shape.max_radius * (1.0 + 1e-9))
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        inside = membership(shape, mid[:, None] * dirs)
+        inside = membership(shape, mid[:, None] * g.nodes)
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     return 0.5 * (lo + hi)
@@ -544,28 +544,47 @@ def config_to_dict(config: Configuration) -> dict:
     return {"d": d, "components": comps}
 
 
-def dict_to_config(obj: dict, r_min: float = R_MIN_DEFAULT) -> Configuration:
-    try:
-        d = int(obj["d"])
-        raw = obj["components"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"shape file missing required key: {exc}") from exc
+def _file_value(obj, key: str, kind: type):
+    """obj[key] of a shape file as an int, a list or, for kind float, a
+    float array of JSON numbers; anything else raises ValidationError."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if kind is float:
+        try:
+            arr = np.asarray(value)
+        except ValueError:          # ragged nested lists
+            arr = np.asarray(None)
+        if arr.dtype.kind in "if":
+            return arr.astype(float)
+    elif isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    what = {int: "an integer", list: "a list", float: "numbers"}[kind]
+    raise ValidationError(f"shape file key {key!r}: expected {what}, "
+                          f"got {value!r:.60}")
+
+
+def dict_to_config(obj: dict) -> Configuration:
+    """The configuration of a parsed shape file (``config_to_dict``
+    layout); a missing or mistyped entry raises ValidationError."""
+    d = _file_value(obj, "d", int)
+    raw = _file_value(obj, "components", list)
     if d not in (2, 3):
         raise ValidationError(f"shape file has unsupported dimension d={d}")
     comps = []
     grids: dict[int, SphereGrid] = {}
     for entry in raw:
-        gspec = entry.get("grid", {})
-        kind = gspec.get("kind")
+        if not isinstance(entry, dict):
+            raise ValidationError(f"shape file component {entry!r} is not "
+                                  "an object")
+        gspec = entry.get("grid")
+        kind = gspec.get("kind") if isinstance(gspec, dict) else None
         if kind != GRID_KIND[d]:
             raise ValidationError(f"grid kind {kind!r} does not match d={d}")
-        n = int(gspec.get("n", 0))
+        n = _file_value(gspec, "n", int)
         if n not in grids:
             grids[n] = make_grid(d, n)
         comps.append(StarShape(grid=grids[n],
-                               center=np.asarray(entry["center"], dtype=float),
-                               radii=np.asarray(entry["radial"], dtype=float),
-                               r_min=r_min))
+                               center=_file_value(entry, "center", float),
+                               radii=_file_value(entry, "radial", float)))
     return Configuration(tuple(comps))
 
 
@@ -575,6 +594,6 @@ def save_configuration(path, config: Configuration):
         fh.write("\n")
 
 
-def load_configuration(path, r_min: float = R_MIN_DEFAULT) -> Configuration:
+def load_configuration(path) -> Configuration:
     with open(path) as fh:
-        return dict_to_config(json.load(fh), r_min=r_min)
+        return dict_to_config(json.load(fh))

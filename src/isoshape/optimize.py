@@ -36,7 +36,7 @@ fresh and warm starts of a sweep included, shares it.
 
 In the boundary form the descent moves only within the band of angular
 modes that the tangential stencils resolve (``_band_limited``), and a
-candidate with a radius on the floor r_min is rejected: the
+candidate with a radius on the floor R_MIN is rejected: the
 fragmentation descents at gamma = 100 pinch their components there, and
 the clamp would leave the band.  The volume form keeps the unrestricted
 search, so its descents are those of the code before the boundary form.
@@ -77,6 +77,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    R_MIN,
     Configuration,
     EnergyParams,
     SphereGrid,
@@ -112,18 +113,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for one minimize call (the line-search constants are fixed),
-    and the init spec of sweep starts (``build_initial_config``)."""
+    """The iteration cap of one minimize call (the stop tolerance and the
+    line-search constants are fixed), and the init spec of sweep starts
+    (``build_initial_config``)."""
 
     max_iter: int = 2000
-    g_tol: float = 1e-6
     init: tuple = ("ball",)
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
-        if not self.g_tol > 0:
-            raise ValidationError("g_tol must be positive")
+        if not _count(self.max_iter):
+            raise ValidationError(f"max_iter={self.max_iter!r}; need an "
+                                  "integer >= 1")
         _check_init(self.init)
 
 
@@ -276,6 +276,10 @@ def _precondition(config: Configuration, v: np.ndarray) -> np.ndarray:
 # initial configurations and asphericity
 # ----------------------------------------------------------------------
 
+def _count(x) -> bool:
+    return isinstance(x, numbers.Integral) and x >= 1
+
+
 def _check_init(init):
     """Raise ValidationError unless init is ("ball",), ("perturbed-ball",
     eps, mode_k) or ("multiball", count, spacing), with eps finite,
@@ -283,11 +287,8 @@ def _check_init(init):
     def real(x):
         return isinstance(x, numbers.Real) and math.isfinite(x)
 
-    def count(x):
-        return isinstance(x, numbers.Integral) and x >= 1
-
-    rules = {"ball": (), "perturbed-ball": (real, count),
-             "multiball": (count, lambda x: real(x) and x > 0)}
+    rules = {"ball": (), "perturbed-ball": (real, _count),
+             "multiball": (_count, lambda x: real(x) and x > 0)}
     if not (isinstance(init, tuple) and init and isinstance(init[0], str)
             and init[0] in rules):
         raise ValidationError(f"unknown init spec {init!r}")
@@ -383,7 +384,7 @@ def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
     """The configuration of the packed vector z (laid out as ``_pack`` of
     config), dilated to unit volume, with one StarShape per component.
 
-    The radii are clamped to the floor r_min, the component volumes are
+    The radii are clamped to the floor R_MIN, the component volumes are
     summed in order without the disjointness certificate (an overlapping
     candidate must still be rescalable, so that the line search rejects
     it through the objective instead of raising), z is scaled by
@@ -395,15 +396,14 @@ def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
     i0 = 0
     for s in config.components:
         i1 = i0 + s.radii.size
-        parts.append((np.maximum(z[i0:i1], s.r_min), z[i1:i1 + s.grid.d]))
+        parts.append((np.maximum(z[i0:i1], R_MIN), z[i1:i1 + s.grid.d]))
         i0 = i1 + s.grid.d
     # the quadrature of geometry.volume on the clamped radii
     vol = math.fsum(float(np.dot(s.grid.weights, r ** s.grid.d)) / s.grid.d
                     for s, (r, _) in zip(config.components, parts))
     t = vol ** (-1.0 / config.components[0].grid.d)
     return Configuration(tuple(
-        StarShape(grid=s.grid, center=c * t,
-                  radii=np.maximum(r * t, s.r_min), r_min=s.r_min)
+        StarShape(grid=s.grid, center=c * t, radii=np.maximum(r * t, R_MIN))
         for s, (r, c) in zip(config.components, parts)))
 
 
@@ -417,10 +417,12 @@ def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
 # resolves and are rejected like overlapping ones.
 SLOPE_LIMIT = 2.0
 
-# Armijo backtracking: a trial step t (in units of the max-norm of the
-# direction) is accepted when f drops by at least ARMIJO_C1 t g.d; it is
-# cut by SHRINK on rejection, doubled after acceptance and capped at
-# STEP_MAX.
+# A descent converges when the max-norm of the projected gradient is at
+# most G_TOL.  Armijo backtracking: a trial step t (in units of the
+# max-norm of the direction) is accepted when f drops by at least
+# ARMIJO_C1 t g.d; it is cut by SHRINK on rejection, doubled after
+# acceptance and capped at STEP_MAX.
+G_TOL = 1e-6
 STEP_MAX = 1.0
 ARMIJO_C1 = 1e-4
 SHRINK = 0.5
@@ -436,7 +438,7 @@ def _resolved(config: Configuration, params: EnergyParams) -> bool:
         slope2 = sum(c * c for c in s.slopes)
         if float(slope2.max()) > (SLOPE_LIMIT * r_vol) ** 2:
             return False
-        if pinch and float(s.radii.min()) <= s.r_min:
+        if pinch and float(s.radii.min()) <= R_MIN:
             return False
     return True
 
@@ -535,7 +537,7 @@ def minimize(init: Configuration, params: EnergyParams,
         g_norm = float(np.abs(g_proj).max())
         if callback is not None:
             callback(it, f, g_norm)
-        if g_norm <= opts.g_tol:
+        if g_norm <= G_TOL:
             converged = True
             break
 

@@ -92,6 +92,9 @@ __all__ = [
 # direction-average for smooth boundaries is pi/4 = 0.78539816.
 EDGE_FACTOR = 0.785533440
 
+# Monte Carlo samples per estimate of the check corpora, the fewest the
+# oracle contract allows
+MC_SAMPLES = 1_000_000
 _MC_CHUNK = 1 << 19
 
 
@@ -230,12 +233,8 @@ def raster_measures(rs: RasterSet, p: float):
     """
     mids = _exposed_edges(rs)
     per = EDGE_FACTOR * rs.h * mids.shape[0]
-    if p == 0:
-        wper = per
-    else:
-        dens = np.linalg.norm(mids, axis=1) ** p
-        wper = EDGE_FACTOR * rs.h * float(dens.sum())
-    return rs.volume, per, wper
+    dens = np.linalg.norm(mids, axis=1) ** p
+    return rs.volume, per, EDGE_FACTOR * rs.h * float(dens.sum())
 
 
 def symmetric_difference_area(a: RasterSet, b: RasterSet) -> float:
@@ -354,7 +353,7 @@ def _dimension(obj) -> int:
 
 
 def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
-             n_samples: int = 1_000_000, seed: int = 0):
+             n_samples: int = MC_SAMPLES, seed: int = 0):
     """Monte Carlo Riesz energy V(A, B) = int_A int_B |x-y|^(-alpha).
 
     set_b = None estimates the self-energy V(A) (independent uniform
@@ -366,7 +365,7 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
                 or v < 0:
             raise ValidationError(f"{name}={v!r}; need an integer >= 0")
-    if n_samples < 1_000_000:
+    if n_samples < MC_SAMPLES:
         raise ValidationError(
             f"n_samples={n_samples}; the oracle contract requires >= 1e6")
     d = _dimension(set_a)
@@ -457,7 +456,7 @@ def check_rel_isop(rs: RasterSet, j: int):
 
 
 def check_v_lipschitz(set_e: RasterSet, set_f: RasterSet, alpha: float,
-                      n_samples: int = 1_000_000, seed: int = 0):
+                      seed: int = 0):
     """Symmetric-difference Lipschitz bound |V(E) - V(F)| <= C |E delta F|.
 
     C = 2 (d omega_d / (d - alpha) + 1).  The left side is the Monte
@@ -468,8 +467,8 @@ def check_v_lipschitz(set_e: RasterSet, set_f: RasterSet, alpha: float,
     if set_e.volume > 1.0 + 1e-9 or set_f.volume > 1.0 + 1e-9:
         raise MassPreconditionError(
             f"|E|={set_e.volume:.4f}, |F|={set_f.volume:.4f}; need <= 1")
-    ve, se_e = mc_riesz(set_e, None, alpha, n_samples, seed)
-    vf, se_f = mc_riesz(set_f, None, alpha, n_samples, seed + 1)
+    ve, se_e = mc_riesz(set_e, None, alpha, MC_SAMPLES, seed)
+    vf, se_f = mc_riesz(set_f, None, alpha, MC_SAMPLES, seed + 1)
     lhs = max(abs(vf - ve) - 3.0 * (se_e + se_f), 0.0)
     c = 2.0 * (d * unit_ball_volume(d) / (d - alpha) + 1.0)
     return lhs, c * symmetric_difference_area(set_e, set_f)
@@ -489,10 +488,7 @@ def weighted_density(rs: RasterSet, x, r: float, p: float) -> float:
             f"ball B_{r:g}({x[0]:g}, {x[1]:g}) leaves the raster bounds")
     cx, cy = rs.cell_centers()
     in_ball = ((cx[:, None] - x[0]) ** 2 + (cy[None, :] - x[1]) ** 2) <= r * r
-    if p == 0:
-        dens = np.ones_like(rs.mask, dtype=float)
-    else:
-        dens = (cx[:, None] ** 2 + cy[None, :] ** 2) ** (0.5 * p)
+    dens = (cx[:, None] ** 2 + cy[None, :] ** 2) ** (0.5 * p)
     la_ball = float(dens[in_ball].sum()) * rs.h ** 2
     if la_ball <= 0.0:
         raise ValidationError("weighted measure of the query ball vanishes")
@@ -561,9 +557,9 @@ def _report(check: str, trials: int, violations: int, worst_margin: float,
             "worst_margin": float(worst_margin), "params": params}
 
 
-def run_raster_agreement(seed: int = 0, trials: int = 20,
-                         h: float = 1.0 / 512, p: float = 2.0) -> dict:
-    """Raster volume and weighted perimeter vs the quadrature path.
+def run_raster_agreement(seed: int = 0, trials: int = 20) -> dict:
+    """Raster volume and weighted perimeter vs the quadrature path, at
+    pixel size h = 1/512 and density exponent p = 2.
 
     Margins: 0.01 - |dvol|/vol and 0.02 - |dper|/per per shape; a
     negative margin is a violation.  The corpus uses gentle waviness
@@ -573,6 +569,7 @@ def run_raster_agreement(seed: int = 0, trials: int = 20,
     """
     from .energy import weighted_perimeter
     from .geometry import volume as quad_volume
+    h, p = 1.0 / 512, 2.0
     rng = np.random.default_rng(seed)
     worst = math.inf
     violations = 0
@@ -609,7 +606,7 @@ MC_AGREEMENT_CELLS = (
 )
 
 
-def run_mc_agreement(seed: int = 0, n_samples: int = 1_000_000) -> dict:
+def run_mc_agreement(seed: int = 0) -> dict:
     """riesz_self vs mc_riesz within 3 sigma on every corpus shape.
 
     Margin: 3 sigma - |quad - mc| in units of sigma (i.e. 3 - |z|).
@@ -629,27 +626,27 @@ def run_mc_agreement(seed: int = 0, n_samples: int = 1_000_000) -> dict:
                 params = EnergyParams(d=d, p=2.0, alpha=alpha)
                 quad = float(riesz_self(shape, params))
                 mc_seed += 1
-                est, se = mc_riesz(shape, None, alpha, n_samples, mc_seed)
+                est, se = mc_riesz(shape, None, alpha, MC_SAMPLES, mc_seed)
                 z = abs(quad - est) / se
                 worst = min(worst, 3.0 - z)
                 violations += int(z > 3.0)
                 trials += 1
     return _report("mc_agreement", trials, violations, worst,
-                   {"n_samples": n_samples, "seed": seed,
+                   {"n_samples": MC_SAMPLES, "seed": seed,
                     "cells": [[d, n, k, list(a)]
                               for d, n, k, a in MC_AGREEMENT_CELLS]})
 
 
-def run_v_lipschitz(seed: int = 0, trials: int = 100, alpha: float = 1.0,
-                    n_samples: int = 1_000_000) -> dict:
-    """Eq.-style Lipschitz corpus over random unit-mass raster pairs.
+def run_v_lipschitz(seed: int = 0, trials: int = 100) -> dict:
+    """Eq.-style Lipschitz corpus over random unit-mass raster pairs, at
+    alpha = 1.
 
     Margin: bound - lhs (violation when negative, a > 3 sigma event).
     """
     rng = np.random.default_rng(seed)
     worst = math.inf
     violations = 0
-    h = 1.0 / 128
+    alpha, h = 1.0, 1.0 / 128
     # Quadrature-unit-volume blobs rasterize to mass 1 + O(h^2), which
     # can tip over the |E| <= 1 precondition; shrink slightly below it.
     sub = 0.99
@@ -661,11 +658,11 @@ def run_v_lipschitz(seed: int = 0, trials: int = 100, alpha: float = 1.0,
         if rng.random() < 0.5:
             shape_b = dilate(shape_b, rng.uniform(0.75, 1.0))
         b = rasterize(shape_b, h)
-        lhs, bound = check_v_lipschitz(a, b, alpha, n_samples, seed * 1000 + t)
+        lhs, bound = check_v_lipschitz(a, b, alpha, seed * 1000 + t)
         worst = min(worst, bound - lhs)
         violations += int(lhs > bound)
     return _report("v_lipschitz", trials, violations, worst,
-                   {"alpha": alpha, "n_samples": n_samples, "h": h,
+                   {"alpha": alpha, "n_samples": MC_SAMPLES, "h": h,
                     "seed": seed})
 
 
@@ -725,11 +722,13 @@ def run_rel_isop(seed: int = 0, blobs: int = 50) -> dict:
                    {"constants": cs, "seed": seed, "blobs": blobs})
 
 
-def run_en_lower_bound(p: float = 2.0, d: int = 2) -> dict:
-    """Expansion ratio exact_lhs / (Cbar m) -> 1 along m = 1e-4 * 4^-k.
+def run_en_lower_bound() -> dict:
+    """Expansion ratio exact_lhs / (Cbar m) -> 1 along m = 1e-4 * 4^-k,
+    at p = 2 and d = 2.
 
     Margin: 0.02 - |ratio - 1| at the smallest mass.
     """
+    p, d = 2.0, 2
     masses = [1e-4, 2.5e-5, 6.25e-6]
     ratios = []
     for m in masses:
@@ -740,12 +739,12 @@ def run_en_lower_bound(p: float = 2.0, d: int = 2) -> dict:
                    {"p": p, "d": d, "masses": masses, "ratios": ratios})
 
 
-def run_all_checks(seed: int = 0, n_samples: int = 1_000_000) -> list:
+def run_all_checks(seed: int = 0) -> list:
     """The default verify corpus: every checker's report, in fixed order."""
     return [
         run_raster_agreement(seed=seed),
-        run_mc_agreement(seed=seed, n_samples=n_samples),
-        run_v_lipschitz(seed=seed, n_samples=n_samples),
+        run_mc_agreement(seed=seed),
+        run_v_lipschitz(seed=seed),
         run_rel_isop(seed=seed),
         run_en_lower_bound(),
     ]

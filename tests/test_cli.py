@@ -31,7 +31,6 @@ def test_parse_defaults():
     assert cfg.gammas[0] == pytest.approx(1e-3)
     assert cfg.gammas[-1] == pytest.approx(1e2)
     assert cfg.opts.max_iter == 2000
-    assert cfg.opts.g_tol == 1e-6
 
 
 def test_parse_file_and_flag_precedence(tmp_path):
@@ -79,8 +78,9 @@ def test_parse_rejections(tmp_path):
     with pytest.raises(ConfigError, match="'seed'"):
         parse_config(["verify", "--seed", "-1"])
 
-    # the constraint is always the unit-volume projection
-    for raw in ({"mode": "penalty"}, {"lam": 1}):
+    # the constraint is always the unit-volume projection, and the stop
+    # tolerance is fixed
+    for raw in ({"mode": "penalty"}, {"lam": 1}, {"g_tol": 1e-6}):
         fp.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(["minimize", "--config", str(fp)])

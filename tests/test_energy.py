@@ -268,6 +268,13 @@ def test_potential_points_and_components():
         # a configuration's potential is the sum over its components
         parts = potential(a, pts, params, vq) + potential(b, pts, params, vq)
         np.testing.assert_allclose(vals, parts, rtol=1e-12)
+        # a non-finite point is an error, not a nan value
+        for bad in (math.nan, math.inf):
+            x = np.zeros(d)
+            x[0] = bad
+            for obj in (a, cfg):
+                with pytest.raises(ValidationError):
+                    potential(obj, x, params, vq)
 
 
 def test_total_energy_breakdown_identities():

@@ -50,6 +50,9 @@ def test_grid_rejects_bad_arguments():
         make_grid(4, 32)
     with pytest.raises(ValidationError):
         make_grid(2, 4)
+    for d in (2, 3):
+        with pytest.raises(ValidationError):
+            make_grid(d, 8.5)
 
 
 def test_grid_deterministic():
@@ -209,14 +212,39 @@ def test_configuration_json_round_trip(tmp_path):
         assert a.grid.d == b.grid.d and a.grid.n == b.grid.n
 
 
+def _shape_file(**component):
+    """A one-disk d=2 shape file with the given component keys replaced
+    (a value of None deletes the key)."""
+    comp = {"center": [0, 0], "grid": {"kind": "uniform-angle", "n": 8},
+            "radial": [1.0] * 8}
+    comp.update(component)
+    return {"d": 2, "components": [{k: v for k, v in comp.items()
+                                    if v is not None}]}
+
+
 def test_load_rejects_invalid_file(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(
-        {"d": 2, "components": [{"center": [0, 0],
-                                 "grid": {"kind": "uniform-angle", "n": 32},
-                                 "radial": [-1.0] * 32}]}))
-    with pytest.raises(ValidationError):
-        load_configuration(path)
+    disk = _shape_file()["components"][0]
+    for obj in (
+            _shape_file(radial=[-1.0] * 8),
+            _shape_file(radial=None),
+            _shape_file(center=None),
+            {"d": 2, "components": ["disk"]},
+            {"d": 2, "components": {"disk": disk}},
+            _shape_file(grid="uniform-angle"),
+            _shape_file(grid={"kind": "uniform-angle", "n": "x"}),
+            _shape_file(grid={"kind": "uniform-angle", "n": 8.7}),
+            {"d": "x", "components": [disk]},
+            _shape_file(radial=["x"] * 8),
+            _shape_file(radial=["1.0"] * 8),
+            _shape_file(radial=[[1.0], [1.0, 2.0]]),
+            [2]):
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError):
+            load_configuration(path)
+    # the well-formed file loads
+    path.write_text(json.dumps(_shape_file()))
+    assert load_configuration(path).components[0].grid.n == 8
 
 
 # ----------------------------------------------------------------------

@@ -277,10 +277,9 @@ def test_asphericity_values():
 
 
 def test_optimizer_options_validation():
-    with pytest.raises(ValidationError):
-        OptimizerOptions(max_iter=0)
-    with pytest.raises(ValidationError):
-        OptimizerOptions(g_tol=0.0)
+    for max_iter in (0, 1.5, "5"):
+        with pytest.raises(ValidationError):
+            OptimizerOptions(max_iter=max_iter)
     # a malformed init spec fails here, before any sweep thread starts
     for init in _BAD_INIT_SPECS:
         with pytest.raises(ValidationError):

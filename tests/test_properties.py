@@ -27,7 +27,7 @@ from isoshape.energy import (
 )
 from isoshape.errors import ConfigError
 from isoshape.geometry import (
-    R_MIN_DEFAULT,
+    R_MIN,
     Configuration,
     EnergyParams,
     StarShape,
@@ -137,7 +137,7 @@ def test_configuration_file_round_trip(grid, data):
         center = data.draw(arrays(float, g.d, elements=st.floats(
             -1e300, 1e300, allow_nan=False)))
         radii = data.draw(arrays(float, g.n_nodes, elements=st.floats(
-            R_MIN_DEFAULT, 1e300)))
+            R_MIN, 1e300)))
         comps.append(StarShape(grid=g, center=center, radii=radii))
     cfg = Configuration(tuple(comps))
     with tempfile.TemporaryDirectory() as tmp:
