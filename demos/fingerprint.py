@@ -83,6 +83,7 @@ from isoshape.oracle import (
 DESCENTS = (
     (2, 20, 1.0, 0.01, ("perturbed-ball", 0.2, 3)),
     (2, 20, 1.75, 0.01, ("perturbed-ball", 0.2, 3)),
+    (2, 32, 1.75, 0.5, ("perturbed-ball", 0.1, 3)),
     (2, 32, 1.0, 100.0, ("multiball", 2, 2.5)),
     (2, 24, 1.6, 30.0, ("perturbed-ball", 0.2, 2)),
     (3, 8, 2.5, 0.5, ("perturbed-ball", 0.2, 2)),

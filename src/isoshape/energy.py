@@ -312,13 +312,6 @@ def pair_potential_field(X, W, alpha: float, h_levels):
     return [(phi, -alpha * (gm[:, :1] * X - gm[:, 1:])) for phi, gm in acc]
 
 
-def richardson(S_h, S_half, d: int, alpha: float):
-    """(value, |correction|) of the h -> 0 step from sums at (h, h/2)."""
-    q = min(2.0, d - alpha)
-    a, b = 2.0 ** q / (2.0 ** q - 1.0), 1.0 / (2.0 ** q - 1.0)
-    return a * S_half - b * S_h, abs((S_half - S_h) / (2.0 ** q - 1.0))
-
-
 # ----------------------------------------------------------------------
 # boundary sums
 # ----------------------------------------------------------------------
@@ -495,10 +488,15 @@ def riesz_sums(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
 
 
 def riesz_estimate(sums, params: EnergyParams):
-    """(value, error bar) from riesz_sums, or from differences of them."""
+    """(value, error bar) from riesz_sums, or from differences of them:
+    S_n and |S_n - S_c| in the boundary form, the Richardson h -> 0 step
+    and its |correction| in the volume form (entrywise on arrays)."""
+    S_h, S_half = sums
     if boundary_form(params):
-        return sums[0], abs(sums[0] - sums[1])
-    return richardson(sums[0], sums[1], params.d, params.alpha)
+        return S_h, abs(S_h - S_half)
+    q = min(2.0, params.d - params.alpha)
+    a, b = 2.0 ** q / (2.0 ** q - 1.0), 1.0 / (2.0 ** q - 1.0)
+    return a * S_half - b * S_h, abs((S_half - S_h) / (2.0 ** q - 1.0))
 
 
 def riesz_value(shapes, params: EnergyParams, vq: VolumeQuadrature | None) -> float:
@@ -527,8 +525,8 @@ def riesz_gradient(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
     X, W = vq.cloud(shapes)
     (phi1, G1), (phi2, G2) = pair_potential_field(
         X, W, params.alpha, vq.levels)
-    phi, _ = richardson(phi1, phi2, params.d, params.alpha)
-    G, _ = richardson(G1, G2, params.d, params.alpha)
+    phi, _ = riesz_estimate((phi1, phi2), params)
+    G, _ = riesz_estimate((G1, G2), params)
     out = []
     i0 = 0
     ns = vq.s.size
@@ -650,8 +648,8 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
     XB, WB = vq.nodes(B)
     if XB.tobytes() < XA.tobytes():
         XA, WA, XB, WB = XB, WB, XA, WA
-    value, _ = richardson(*pair_sum(XA, WA, XB, WB, params.alpha, vq.levels),
-                          params.d, params.alpha)
+    value, _ = riesz_estimate(
+        pair_sum(XA, WA, XB, WB, params.alpha, vq.levels), params)
     return max(value, 0.0)
 
 
@@ -686,7 +684,7 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
         X, W = vq.cloud(shapes)
         sums = np.array([pair_sum(pt[None, :], np.ones(1), X, W, params.alpha,
                                   vq.levels) for pt in pts]).reshape(-1, 2)
-        vals, _ = richardson(sums[:, 0], sums[:, 1], params.d, params.alpha)
+        vals, _ = riesz_estimate(sums.T, params)
     if np.ndim(x) == 1:
         return float(vals[0])
     return vals

@@ -21,6 +21,10 @@ class CriticalExponentError(ValidationError):
     """gamma <-> mass map requested at the critical exponent p* = d - alpha + 1."""
 
 
+class GridTooLargeError(ValidationError):
+    """Sphere grid too large for the dense H^1 preconditioner of a descent."""
+
+
 class ExtrapolationUnstableError(IsoshapeError):
     """Richardson error estimate exceeds the requested tolerance."""
 

@@ -8,9 +8,9 @@ Gradients are the exact derivatives of the discrete energy: the
 perimeter part differentiates the surface quadrature sum through the
 finite-difference tangential gradient operators (using their exact
 adjoints), and the Riesz part is ``energy.riesz_gradient``.  In the
-boundary form (``energy.boundary_form``) that differentiates the
-boundary sum S_n over the union of all components' boundary nodes: one
-pass gives dS/dy_i and dS/dN_i, which are chained through
+boundary form (alpha <= 3/2) that differentiates the boundary sum S_n
+over the union of all components' boundary nodes: one pass gives
+dS/dy_i and dS/dN_i, which are chained through
 y_i = c + r_i theta_i and, for the tangential part of N_i, through the
 adjoint stencils.  In the volume form it differentiates the
 desingularized pair sum at the frozen kernel lengths {h0, h0/2}.
@@ -34,12 +34,12 @@ the H^1 norm that ``asphericity`` measures.  Its Cholesky factor is
 built once per grid and kept on it, so every run on that grid, the
 fresh and warm starts of a sweep included, shares it.
 
-In the boundary form the descent moves only within the band of angular
-modes that the tangential stencils resolve (``_band_limited``), and a
-candidate with a radius on the floor R_MIN is rejected: the
-fragmentation descents at gamma = 100 pinch their components there, and
-the clamp would leave the band.  The volume form keeps the unrestricted
-search, so its descents are those of the code before the boundary form.
+The descent moves only within the band of angular modes that the
+tangential stencils resolve (``_band_limited``), and a candidate with a
+radius on the floor R_MIN is rejected: the fragmentation descents at
+gamma = 100 narrow their components down to it, and the clamp would
+leave the band.  Both rules hold for either discretization of V, which
+is chosen in ``energy`` alone.
 
 The gamma <-> m scaling maps and the energy identity they satisfy,
 
@@ -62,7 +62,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .energy import (
     EnergyBreakdown,
     VolumeQuadrature,
-    boundary_form,
     frozen_rule,
     perimeter_gradient,
     riesz_gradient,
@@ -72,6 +71,7 @@ from .energy import (
 )
 from .errors import (
     CriticalExponentError,
+    GridTooLargeError,
     IsoshapeError,
     OverlapError,
     ValidationError,
@@ -215,8 +215,9 @@ def shape_gradient(config, params: EnergyParams,
     """Exact gradient of the discrete E_gamma.
 
     Returns one (dE/dr, dE/dc) pair per component; both arrays are the
-    coordinate partial derivatives of total_energy at frozen quadrature
-    (vq, used by the volume form only).
+    coordinate partial derivatives of total_energy at the frozen rule vq
+    (``energy.frozen_rule``).  ``minimize`` descends along the part of
+    it within the resolved band (``_band_limited``).
     """
     if isinstance(config, StarShape):
         config = Configuration((config,))
@@ -249,6 +250,24 @@ def _h1_operator(grid: SphereGrid):
     for Dk in D:
         H += (Dk.T * w) @ Dk
     return H
+
+
+# Largest node count N of a grid that a descent accepts.  Building the
+# dense operator and its Cholesky factor peaks at about 6 N^2 doubles:
+# 197 MiB at d=3 n=32 (N = 2048) and 984 MiB at d=3 n=48 (N = 4608),
+# measured as peak RSS above the import with one BLAS thread.  The cap
+# admits d=3 n=48; d=3 n=128 would need 48 GiB.
+H1_MAX_NODES = 4608
+
+
+def _check_grid_size(grid: SphereGrid):
+    """Raise GridTooLargeError for a grid of more than H1_MAX_NODES."""
+    N = grid.n_nodes
+    if N > H1_MAX_NODES:
+        raise GridTooLargeError(
+            f"the dense H1 preconditioner of a grid of N = {N} nodes needs "
+            f"about {48 * N * N} bytes; a descent accepts at most "
+            f"{H1_MAX_NODES} nodes, so lower --n")
 
 
 def _h1_solve(grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
@@ -428,17 +447,15 @@ ARMIJO_C1 = 1e-4
 SHRINK = 0.5
 
 
-def _resolved(config: Configuration, params: EnergyParams) -> bool:
-    # the boundary form also rejects radii clamped to the floor (module
-    # docstring)
-    pinch = boundary_form(params)
+def _resolved(config: Configuration) -> bool:
+    # radii clamped to the floor are rejected too (module docstring)
     for s in config.components:
         d = s.grid.d
         r_vol = (volume(s) / unit_ball_volume(d)) ** (1.0 / d)
         slope2 = sum(c * c for c in s.slopes)
         if float(slope2.max()) > (SLOPE_LIMIT * r_vol) ** 2:
             return False
-        if pinch and float(s.radii.min()) <= R_MIN:
+        if float(s.radii.min()) <= R_MIN:
             return False
     return True
 
@@ -447,7 +464,7 @@ def _band_limited(config: Configuration, v: np.ndarray) -> np.ndarray:
     """v with the radial blocks cut to the Fourier modes |k| <= m // 3 of
     the uniform axis (m = n angles in d=2, 2n azimuths in d=3).
 
-    The boundary form descends in this band only.  The central stencils
+    Every descent moves in this band only.  The central stencils
     of ``SphereGrid.grad_components`` differentiate mode k with the
     factor (8 sin(kh) - sin(2kh)) / (6h) in place of k: at least 62% of
     k for k <= m/3, and 0 at k = m/2, where r_j = (-1)^j moves the
@@ -478,7 +495,7 @@ def _objective(config: Configuration, params: EnergyParams,
         config.validate()
     except OverlapError:
         return math.inf
-    if not _resolved(config, params):
+    if not _resolved(config):
         return math.inf
     per = math.fsum(weighted_perimeter(s, params) for s in config.components)
     val = per
@@ -494,23 +511,22 @@ def minimize(init: Configuration, params: EnergyParams,
 
     Returns (final configuration, SweepRecord).  Hitting the iteration
     cap or a failed line search returns the best configuration found
-    with converged=False rather than raising.
+    with converged=False rather than raising.  A grid of more than
+    H1_MAX_NODES nodes raises GridTooLargeError before any Riesz sum.
     """
     if isinstance(init, StarShape):
         init = Configuration((init,))
+    for s in init.components:
+        _check_grid_size(s.grid)
     init.validate()
     vol0 = total_volume(init)
     if not 0.5 <= vol0 <= 2.0:
         raise ValidationError(f"initial volume {vol0:.6f} outside [0.5, 2]")
     vq = frozen_rule(init, params)
-    band = boundary_form(params)
 
-    z = _pack(init)
-    if band:
-        z = _band_limited(init, z)
     # certify the start: from an overlapping one (f = inf) any finite
     # candidate would pass the line search
-    config = _project_volume(init, z).validate()
+    config = _project_volume(init, _band_limited(init, _pack(init))).validate()
     f = _objective(config, params, vq)
     converged = False
     iterations = 0
@@ -521,12 +537,10 @@ def minimize(init: Configuration, params: EnergyParams,
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        g = _flatten(shape_gradient(config, params, vq))
-        n_vec = _flatten([(_volume_gradient(s), np.zeros(s.grid.d))
-                          for s in config.components])
-        if band:
-            g = _band_limited(config, g)
-            n_vec = _band_limited(config, n_vec)
+        g = _band_limited(config, _flatten(shape_gradient(config, params, vq)))
+        n_vec = _band_limited(config, _flatten(
+            [(_volume_gradient(s), np.zeros(s.grid.d))
+             for s in config.components]))
 
         # preconditioned direction, kept tangent to the constraint
         direction = _precondition(config, g)
@@ -592,6 +606,8 @@ def sweep_gamma(gamma_list, params: EnergyParams, grid: SphereGrid,
             or sorted(gammas) != gammas:
         raise ValidationError(
             "gamma list must be nonempty, finite, positive, sorted")
+    # raise here, not as inf rows from every minimize of the loop
+    _check_grid_size(grid)
 
     out = []
     prev_config = None

@@ -210,6 +210,15 @@ def test_exit_code_mapping(tmp_path, monkeypatch):
     assert main(["verify", "--out", str(tmp_path)]) == 3
 
 
+def test_grid_too_large_for_a_descent_exits_3(tmp_path, capsys):
+    # the default n = 128 at d = 3 is rejected before any Riesz sum
+    for argv in (["minimize", "--d", "3"],
+                 ["sweep", "--d", "3", "--gammas", "0.1"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "GridTooLargeError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _fake_records():
     gammas = np.logspace(-3, 2, 6)
     return [SweepRecord(gamma=float(g), p=2.0, alpha=1.0, d=2,

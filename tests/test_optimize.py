@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from isoshape.energy import VolumeQuadrature, frozen_rule, total_energy
 from isoshape.errors import (
     CriticalExponentError,
+    GridTooLargeError,
     OverlapError,
     ValidationError,
 )
@@ -101,8 +103,8 @@ def test_gradient_matches_finite_differences_volume_form(d, n, alpha, seed):
 
 
 def test_volume_form_descent_frozen_reference():
-    # alpha = 1.75 descends on the volume rule; iterations and final
-    # shape are frozen from the code before the boundary form existed
+    # alpha = 1.75 descends on the volume rule, within the resolved band;
+    # iterations and final shape are frozen from that descent
     params = EnergyParams(d=2, p=2.0, alpha=1.75, gamma=0.01)
     init = build_initial_config(params, make_grid(2, 20),
                                 ("perturbed-ball", 0.2, 3))
@@ -110,14 +112,14 @@ def test_volume_form_descent_frozen_reference():
     assert (rec.iterations, rec.converged) == (44, True)
     s, = config.components
     assert s.radii.tolist() == [
-        0.5641876511216813, 0.5641878667733906, 0.56418833937545,
-        0.564188825763709, 0.5641892495206647, 0.5641895853305252,
-        0.5641898965299114, 0.564190333518769, 0.5641908872601207,
-        0.56419130634604, 0.564191438971299, 0.5641913063460395,
-        0.5641908872601207, 0.5641903335187681, 0.5641898965299117,
-        0.5641895853305244, 0.5641892495206647, 0.5641888257637083,
-        0.56418833937545, 0.5641878667733904]
-    assert s.center.tolist() == [1.5268240150755796e-06, -2.901043659811073e-17]
+        0.5641883854996811, 0.5641883548711457, 0.5641883600205411,
+        0.5641885549468255, 0.5641889837482391, 0.5641895810401735,
+        0.5641901876040238, 0.5641906078270601, 0.5641907823719207,
+        0.5641908190490162, 0.564190822479318, 0.5641908190490171,
+        0.5641907823719201, 0.564190607827061, 0.5641901876040236,
+        0.5641895810401737, 0.5641889837482391, 0.564188554946826,
+        0.5641883600205406, 0.564188354871146]
+    assert s.center.tolist() == [1.3528141318973762e-06, -6.001276916130067e-16]
 
 
 @pytest.mark.parametrize("d,n,alpha", [(2, 16, 1.0), (2, 16, 1.6), (3, 8, 2.5)])
@@ -155,22 +157,30 @@ def test_band_limit_commutes_with_the_h1_metric():
         np.testing.assert_allclose(lhs[:-d], rhs, atol=1e-12)
 
 
-def test_boundary_descent_returns_the_ball_not_a_zigzag():
-    # d=2 n=20 gamma=1: the discrete E of the boundary form is lower on
-    # grid-scale ripples than on the ball, because the central stencils
-    # barely see them; the descent runs below those modes and recovers
-    # the ball, from the mode-3 start and from an alternating (-1)^j one
+@pytest.mark.parametrize("alpha,gamma", [(1.0, 1.0), (1.75, 0.5)])
+def test_descent_returns_the_ball_not_a_zigzag(alpha, gamma):
+    # d=2 n=20: the discrete E is lower on grid-scale ripples than on the
+    # ball, because the central stencils barely see them; the descent
+    # runs below those modes and recovers the ball, from the mode-3 start
+    # and from an alternating (-1)^j one.  The boundary form (alpha = 1)
+    # and the volume form (alpha = 1.75, below the ball's linear
+    # thresholds gamma_2 = 0.912 and gamma_3 = 0.831) both do.
     grid = make_grid(2, 20)
-    params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=1.0)
-    ball = minimize(build_initial_config(params, grid), params)[1]
+    params = EnergyParams(d=2, p=2.0, alpha=alpha, gamma=gamma)
+    ball = build_initial_config(params, grid)
     zigzag = StarShape(grid=grid, center=np.zeros(2), radii=(
-        ball.volume / math.pi) ** 0.5 * (1.0 + 0.05 * (-1.0) ** np.arange(20)))
+        ball.components[0].radii * (1.0 + 0.05 * (-1.0) ** np.arange(20))))
     for init in (build_initial_config(params, grid, ("perturbed-ball", 0.2, 3)),
                  Configuration((zigzag,))):
-        _, rec = minimize(init, params)
+        config, rec = minimize(init, params)
         assert rec.converged
         assert rec.asphericity <= 1e-3
-        assert rec.energy == pytest.approx(ball.energy, rel=1e-9)
+        # the volume form's value depends on the rule frozen from the start
+        ball_energy = total_energy(ball, params, frozen_rule(init, params))
+        assert rec.energy == pytest.approx(ball_energy.total, rel=1e-9)
+        # nothing left above the resolved band |k| <= 20 // 3
+        spec = np.abs(np.fft.rfft(config.components[0].radii))
+        assert spec[20 // 3 + 1:].max() <= 1e-12 * spec[0]
 
 
 @pytest.mark.parametrize("d,n,alpha", [(2, 24, 1.0), (3, 8, 2.5)])
@@ -452,6 +462,25 @@ def test_h1_operator_is_the_asphericity_norm(d, n):
         u = rng.standard_normal(grid.n_nodes)
         norm = float(w @ (u * u + sum(c * c for c in grid.grad_components(u))))
         assert float(u @ H @ u) == pytest.approx(norm, rel=1e-12)
+
+
+def test_descent_rejects_a_grid_too_large_for_the_h1_operator():
+    # d=3 n=128 (N = 32768 nodes): the dense operator would need 48 GiB.
+    # Both calls raise at once, before any Riesz sum; d=3 n=48 is admitted
+    from isoshape.optimize import H1_MAX_NODES, _check_grid_size
+    grid = make_grid(3, 128)
+    params = EnergyParams(d=3, p=2.0, alpha=1.0, gamma=0.1)
+    init = build_initial_config(params, grid)
+    for call in (lambda: minimize(init, params),
+                 lambda: sweep_gamma([0.1], params, grid)):
+        t0 = time.perf_counter()
+        with pytest.raises(GridTooLargeError, match="N = 32768"):
+            call()
+        assert time.perf_counter() - t0 < 1.0
+    assert make_grid(3, 48).n_nodes == H1_MAX_NODES
+    _check_grid_size(make_grid(3, 48))
+    with pytest.raises(GridTooLargeError, match="--n"):
+        _check_grid_size(make_grid(3, 49))
 
 
 def test_records_to_csv_format():
