@@ -34,9 +34,12 @@ One line per fingerprint:
   the reloaded radii and centers;
 - Riesz values (riesz_self with its error bar, interaction, potential)
   in both forms;
+- the Fuglede quantities (perimeter_deficit, i1_i2_split, riesz_deficit
+  with its error bar, stability_ratio) of one mode and one
+  random_perturbation field;
 - mc_riesz (estimate, standard error) on balls, random stars and a
-  two-disk configuration, the sha256 of a rasterized mask, and the
-  reports of three oracle corpora.
+  two-disk configuration, the sha256 of a rasterized mask, its
+  raster_measures, and the reports of three oracle corpora.
 
 Floats are printed as repr(float(x)), so a value that changes only its
 numpy scalar type prints the same.  Takes about 15 s on 2 CPUs.
@@ -54,7 +57,16 @@ import numpy as np
 from isoshape.cli import sweep_svg
 
 from isoshape.energy import interaction, potential, riesz_self
-from isoshape.fuglede import deficit_report, report_to_csv
+from isoshape.fuglede import (
+    deficit_report,
+    i1_i2_split,
+    mode_perturbation,
+    perimeter_deficit,
+    random_perturbation,
+    report_to_csv,
+    riesz_deficit,
+    stability_ratio,
+)
 from isoshape.geometry import (
     Configuration,
     EnergyParams,
@@ -73,6 +85,7 @@ from isoshape.optimize import (
 from isoshape.oracle import (
     mc_riesz,
     random_star,
+    raster_measures,
     rasterize,
     run_en_lower_bound,
     run_raster_agreement,
@@ -164,6 +177,18 @@ def riesz_values():
                   f"potential={f(potential(star, np.full(d, 0.1), params))}")
 
 
+def fuglede_values():
+    g = make_grid(2, 64)
+    mode = mode_perturbation(g, 0.1, 3, R=1.3, p=1.5)
+    field = random_perturbation(g, np.random.default_rng(9))
+    for name, pert in (("mode k=3 R=1.3 p=1.5", mode), ("random", field)):
+        i1, i2 = i1_i2_split(pert)
+        rd = riesz_deficit(pert, alpha=1.0)
+        print(f"fuglede {name}: per={f(perimeter_deficit(pert))} "
+              f"i1={f(i1)} i2={f(i2)} riesz=({f(rd.value)}, {f(rd.error)}) "
+              f"ratio={f(stability_ratio(pert, alpha=1.0, gamma=1.0))}")
+
+
 def oracles():
     rng = np.random.default_rng(MC_RNG_SEED)
     for d, n, alpha, seed in MC_CELLS:
@@ -182,7 +207,9 @@ def oracles():
                           make_ball(0.25, np.array([1.0, 0.2]), g2)))
     est, se = mc_riesz(pair, None, 0.5, MC_SAMPLES, 8)
     print(f"mc_riesz two disks: {f(est)} {f(se)}")
-    print(f"rasterize star d=2 mask {sha(rasterize(stars[2], 1.0 / 128).mask)}")
+    rs = rasterize(stars[2], 1.0 / 128)
+    print(f"rasterize star d=2 mask {sha(rs.mask)} measures p=2 "
+          f"{' '.join(f(x) for x in raster_measures(rs, 2.0))}")
     for name, run, kw in (("run_raster_agreement", run_raster_agreement,
                            {"seed": 0, "trials": 4}),
                           ("run_v_lipschitz", run_v_lipschitz,
@@ -195,4 +222,5 @@ if __name__ == "__main__":
     descents()
     tables()
     riesz_values()
+    fuglede_values()
     oracles()

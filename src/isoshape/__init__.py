@@ -7,7 +7,6 @@ from .errors import (
     ConfigError,
     CriticalExponentError,
     DegenerateDeficitError,
-    ExtrapolationUnstableError,
     GraphConditionError,
     IsoshapeError,
     OverlapError,

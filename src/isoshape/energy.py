@@ -57,9 +57,9 @@ from the two levels {h0, h0/2} with exponent q = min(2, d - alpha): the
 smoothing bias of the kernel is exactly homogeneous of order d - alpha at
 short range, while for d - alpha > 2 the long-range h^2 correction
 dominates.  |extrapolation correction| is reported as the error estimate.
-The default h0 is half the median inter-node spacing, where the spacing
-at a node is the total distance to its adjacent nodes across the grid
-directions (radial plus angular extents of the local quadrature cell).
+h0 is half the median inter-node spacing, where the spacing at a node
+is the total distance to its adjacent nodes across the grid directions
+(radial plus angular extents of the local quadrature cell).
 h0 scales linearly under dilation of the configuration.
 
 Both forms are exactly homogeneous: V(t Omega) = t^{2d-alpha} V(Omega)
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ExtrapolationUnstableError, OverlapError, ValidationError
+from .errors import OverlapError, ValidationError
 from .geometry import (
     Configuration,
     EnergyParams,
@@ -167,22 +167,16 @@ class VolumeQuadrature:
             raise ValidationError(f"desingularization length must be positive, got {self.h}")
 
     @classmethod
-    def build(cls, obj, n_s: int | None = None, h: float | None = None) -> "VolumeQuadrature":
+    def build(cls, obj) -> "VolumeQuadrature":
         """Build the rule for a StarShape or Configuration.
 
-        The radial node count defaults to ceil(n/2) of the finest sphere
-        grid; h defaults to half the median inter-node spacing.
+        The radial node count is ceil(n/2) of the finest sphere grid; h
+        is half the median inter-node spacing.
         """
         shapes = _components(obj)
-        if n_s is None:
-            n_s = max((s.grid.n + 1) // 2 for s in shapes)
-        if n_s < 1:
-            raise ValidationError("need at least one radial node")
-        s, v = _gauss01(n_s)
-        if h is None:
-            spacings = np.concatenate([_cell_spacings(sh, s) for sh in shapes])
-            h = 0.5 * float(np.median(spacings))
-        return cls(s=s, v=v, h=h)
+        s, v = _gauss01(max((sh.grid.n + 1) // 2 for sh in shapes))
+        spacings = np.concatenate([_cell_spacings(sh, s) for sh in shapes])
+        return cls(s=s, v=v, h=0.5 * float(np.median(spacings)))
 
     @property
     def levels(self):
@@ -607,8 +601,7 @@ class RieszResult:
 
 
 def riesz_self(shape: StarShape, params: EnergyParams,
-               vq: VolumeQuadrature | None = None,
-               rtol: float | None = None) -> RieszResult:
+               vq: VolumeQuadrature | None = None) -> RieszResult:
     """Riesz self-energy V(Omega) = int_Omega int_Omega |x-y|^{-alpha}.
 
     vq is the rule of the volume form (alpha > BOUNDARY_ALPHA_MAX), built
@@ -616,11 +609,7 @@ def riesz_self(shape: StarShape, params: EnergyParams,
     """
     _check_params(params, (shape,))
     value, err = riesz_estimate(riesz_sums((shape,), params, vq), params)
-    value = max(value, 0.0)
-    if rtol is not None and err > rtol * max(abs(value), 1e-300):
-        raise ExtrapolationUnstableError(
-            f"riesz error estimate {err:.3e} exceeds rtol {rtol:.3e} * {value:.6e}")
-    return RieszResult(value, err)
+    return RieszResult(max(value, 0.0), err)
 
 
 def interaction(A: StarShape, B: StarShape, params: EnergyParams,

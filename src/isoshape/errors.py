@@ -25,10 +25,6 @@ class GridTooLargeError(ValidationError):
     """Sphere grid too large for the dense H^1 preconditioner of a descent."""
 
 
-class ExtrapolationUnstableError(IsoshapeError):
-    """Richardson error estimate exceeds the requested tolerance."""
-
-
 class DegenerateDeficitError(IsoshapeError):
     """Riesz deficit indistinguishable from its quadrature error bar."""
 

@@ -27,13 +27,15 @@ order ||u||_{H^1}^2.  The ratio
 exceeding 1 certifies numerically that the ball beats the perturbed
 shape at strength gamma.
 
-Deficit conventions.  perimeter_deficit compares with the same-radius
-ball B_R, which is the comparison the per-mode series limit above
-refers to.  riesz_deficit compares with the ball whose radius is
-computed from the exact quadrature volume of the perturbed shape, so
-the sign test is meaningful.  Both shapes are summed on the same grid,
-and the error bar is taken from the difference of their sums, which
-cancels the common-mode quadrature bias of two nearly identical shapes
+Deficit conventions.  The base radius R and the density exponent p
+come from the Perturbation; no deficit takes them again.
+perimeter_deficit compares with the same-radius ball B_R, which is the
+comparison the per-mode series limit above refers to.  riesz_deficit
+compares with the ball whose radius is computed from the exact
+quadrature volume of the perturbed shape, so the sign test is
+meaningful.  Both shapes are summed on the same grid, and the error bar
+is taken from the difference of their sums, which cancels the
+common-mode quadrature bias of two nearly identical shapes
 (``riesz_deficit``).
 """
 
@@ -54,7 +56,6 @@ from .energy import (
 )
 from .errors import (
     DegenerateDeficitError,
-    ExtrapolationUnstableError,
     GraphConditionError,
     ValidationError,
 )
@@ -182,63 +183,45 @@ def h1_norm_sq(pert: Perturbation) -> float:
     return float(g.weights @ (u * u + sum(c * c for c in comps)))
 
 
-def shape_from_perturbation(pert: Perturbation, R: float | None = None) -> StarShape:
+def shape_from_perturbation(pert: Perturbation) -> StarShape:
     """Star shape with radial graph r = R (1 + u) about the origin."""
-    if R is None:
-        R = pert.R
     low = float(1.0 + pert.u.min())
     if low < 0.5:
         raise GraphConditionError(
             f"graph condition 1 + u >= 1/2 violated: min(1+u) = {low:.4f}")
     return StarShape(grid=pert.grid, center=np.zeros(pert.grid.d),
-                     radii=R * (1.0 + pert.u))
+                     radii=pert.R * (1.0 + pert.u))
 
 
-def _perimeter_params(d: int, p: float) -> EnergyParams:
-    # alpha is irrelevant for the perimeter; pick any admissible value
-    return EnergyParams(d=d, p=p, alpha=0.5 * d, gamma=0.0)
-
-
-def perimeter_deficit(pert: Perturbation, R: float | None = None,
-                      p: float | None = None) -> float:
+def perimeter_deficit(pert: Perturbation) -> float:
     """P_a(Omega_u) - P_a(B_R), same-radius comparison ball."""
-    if R is None:
-        R = pert.R
-    if p is None:
-        p = pert.p
     g = pert.grid
-    params = _perimeter_params(g.d, p)
-    shape = shape_from_perturbation(pert, R)
-    ball = make_ball(R, np.zeros(g.d), g)
-    return weighted_perimeter(shape, params) - weighted_perimeter(ball, params)
+    # alpha is irrelevant for the perimeter; pick any admissible value
+    params = EnergyParams(d=g.d, p=pert.p, alpha=0.5 * g.d, gamma=0.0)
+    ball = make_ball(pert.R, np.zeros(g.d), g)
+    return (weighted_perimeter(shape_from_perturbation(pert), params)
+            - weighted_perimeter(ball, params))
 
 
-def i1_i2_split(pert: Perturbation, R: float | None = None,
-                p: float | None = None):
+def i1_i2_split(pert: Perturbation):
     """Gradient term I1 and density/volume term I2 of the perimeter deficit.
 
     R^(d-1) (I1 + I2) equals perimeter_deficit to roundoff because both
     sides are assembled from the same grid quadrature and tangential
     stencils.
     """
-    if R is None:
-        R = pert.R
-    if p is None:
-        p = pert.p
     g = pert.grid
     u, w = pert.u, g.weights
     one = 1.0 + u
     grad2 = sum(c * c for c in g.grad_components(u))
     slant = np.sqrt(one * one + grad2)
-    q = p + g.d - 2
-    i1 = R ** p * float(w @ (one ** q * (slant - one)))
-    i2 = R ** p * float(w @ (one ** (q + 1.0) - 1.0))
+    q = pert.p + g.d - 2
+    i1 = pert.R ** pert.p * float(w @ (one ** q * (slant - one)))
+    i2 = pert.R ** pert.p * float(w @ (one ** (q + 1.0) - 1.0))
     return i1, i2
 
 
-def riesz_deficit(pert: Perturbation, R: float | None = None,
-                  alpha: float = 1.0,
-                  rtol: float | None = None) -> RieszResult:
+def riesz_deficit(pert: Perturbation, *, alpha: float = 1.0) -> RieszResult:
     """V(B) - V(Omega_u) against the ball of exactly matched quadrature volume.
 
     Both shapes are summed on the same grid (energy.riesz_sums), and the
@@ -252,7 +235,7 @@ def riesz_deficit(pert: Perturbation, R: float | None = None,
     the bar is the h-sensitivity of the deficit.
     """
     g = pert.grid
-    shape = shape_from_perturbation(pert, R)
+    shape = shape_from_perturbation(pert)
     r_b = (volume(shape) / unit_ball_volume(g.d)) ** (1.0 / g.d)
     ball = make_ball(r_b, np.zeros(g.d), g)
     params = EnergyParams(d=g.d, p=pert.p, alpha=alpha)
@@ -261,22 +244,17 @@ def riesz_deficit(pert: Perturbation, R: float | None = None,
     s_ball = riesz_sums((ball,), params, vq)
     value, error = riesz_estimate([s_ball[0] - s_shape[0],
                                    s_ball[1] - s_shape[1]], params)
-    if rtol is not None and error > rtol * max(abs(value), 1e-300):
-        raise ExtrapolationUnstableError(
-            f"riesz deficit extrapolation unstable: estimate {error:.3e} "
-            f"exceeds {rtol:g} x |{value:.3e}|")
     return RieszResult(value=value, error=error)
 
 
-def stability_ratio(pert: Perturbation, R: float | None = None,
-                    p: float | None = None, alpha: float = 1.0,
+def stability_ratio(pert: Perturbation, *, alpha: float = 1.0,
                     gamma: float = 1.0) -> float:
     """perimeter_deficit / (gamma * riesz_deficit); > 1 certifies the ball.
 
     Raises DegenerateDeficitError when the Riesz deficit does not exceed
     its own extrapolation error bar (the ratio would be noise).
     """
-    return _ratio(perimeter_deficit(pert, R, p), riesz_deficit(pert, R, alpha),
+    return _ratio(perimeter_deficit(pert), riesz_deficit(pert, alpha=alpha),
                   gamma)
 
 

@@ -164,12 +164,12 @@ def raster_from_predicate(pred, bounds, h: float) -> RasterSet:
     return RasterSet(h=h, x0=x0, y0=y0, mask=mask)
 
 
-def rasterize(obj, h: float, pad: float | None = None) -> RasterSet:
+def rasterize(obj, h: float) -> RasterSet:
     """Cell-center rasterization of a star shape or configuration, d=2.
 
     A cell is occupied iff its center lies in the set per the membership
-    test |x - c| <= r_interp(angle(x - c)).  pad widens the bounding box
-    (default two cells) for callers probing near the boundary.
+    test |x - c| <= r_interp(angle(x - c)), over the bounding box
+    widened by two cells.
     """
     if isinstance(obj, StarShape):
         obj = Configuration((obj,))
@@ -179,8 +179,7 @@ def rasterize(obj, h: float, pad: float | None = None) -> RasterSet:
         raise ValidationError("rasterize supports d=2 only")
     if not h > 0:
         raise ValidationError(f"pixel size h={h}; need h > 0")
-    if pad is None:
-        pad = 2 * h
+    pad = 2 * h
     lo = np.full(2, math.inf)
     hi = np.full(2, -math.inf)
     for s in obj.components:
@@ -204,25 +203,21 @@ def rasterize(obj, h: float, pad: float | None = None) -> RasterSet:
     return rs
 
 
-def _exposed_edges(rs: RasterSet):
-    """Midpoints of boundary edges, one row per exposed cell edge."""
-    m = np.pad(rs.mask, 1, constant_values=False)
-    core = m[1:-1, 1:-1]
+def _edge_lattices(rs: RasterSet, i0: int, i1: int, j0: int, j1: int):
+    """Exposed edges of the sub-box mask[i0:i1, j0:j1], padded with empty
+    cells, as ((vertical, xe, cy), (horizontal, cx, ye)).
+
+    Each lattice is mask[:-1] ^ mask[1:] along one axis; its edge
+    midpoints are (xe[k], cy[j]) for vertical edges at x0 + k h and
+    (cx[i], ye[k]) for horizontal edges at y0 + k h.
+    """
     h = rs.h
-    mids = []
-    # neighbor offsets and the corresponding edge-midpoint offsets from
-    # the cell's lower-left corner
-    for shift, off in (((1, 0), (1.0, 0.5)), ((-1, 0), (0.0, 0.5)),
-                       ((0, 1), (0.5, 1.0)), ((0, -1), (0.5, 0.0))):
-        nb = m[1 + shift[0]:m.shape[0] - 1 + shift[0],
-               1 + shift[1]:m.shape[1] - 1 + shift[1]]
-        ii, jj = np.nonzero(core & ~nb)
-        if ii.size:
-            mids.append(np.stack([rs.x0 + (ii + off[0]) * h,
-                                  rs.y0 + (jj + off[1]) * h], axis=1))
-    if not mids:
-        return np.empty((0, 2))
-    return np.concatenate(mids)
+    cx, cy = rs.cell_centers()
+    m = np.pad(rs.mask[i0:i1, j0:j1], 1, constant_values=False)
+    xe = rs.x0 + np.arange(i0, i1 + 1) * h
+    ye = rs.y0 + np.arange(j0, j1 + 1) * h
+    return ((m[:-1, 1:-1] ^ m[1:, 1:-1], xe, cy[j0:j1]),
+            (m[1:-1, :-1] ^ m[1:-1, 1:], cx[i0:i1], ye))
 
 
 def raster_measures(rs: RasterSet, p: float):
@@ -231,10 +226,14 @@ def raster_measures(rs: RasterSet, p: float):
     Volume is exact cell arithmetic; the perimeters are calibrated edge
     sums with the frozen anisotropy factor.
     """
-    mids = _exposed_edges(rs)
-    per = EDGE_FACTOR * rs.h * mids.shape[0]
-    dens = np.linalg.norm(mids, axis=1) ** p
-    return rs.volume, per, EDGE_FACTOR * rs.h * float(dens.sum())
+    dens = []
+    for exposed, ex, ey in _edge_lattices(rs, 0, rs.mask.shape[0],
+                                          0, rs.mask.shape[1]):
+        ii, jj = np.nonzero(exposed)
+        dens.append(np.sqrt(ex[ii] ** 2 + ey[jj] ** 2) ** p)
+    dens = np.concatenate(dens)
+    return (rs.volume, EDGE_FACTOR * rs.h * dens.size,
+            EDGE_FACTOR * rs.h * float(dens.sum()))
 
 
 def symmetric_difference_area(a: RasterSet, b: RasterSet) -> float:
@@ -413,10 +412,9 @@ def check_rel_isop(rs: RasterSet, j: int):
     |A minus Omega|)^((d-1)/d), per = P(Omega; int A) and ratio = lhs / per
     (zero when lhs is zero).  Only the sub-box of cells within r_out + h
     of the origin, plus one margin cell, is read: every cell and edge
-    outside it lies beyond r_out.  Exposed edges are mask[:-1] ^ mask[1:]
-    on the two edge lattices (vertical edges at x0 + k h, horizontal
-    edges at y0 + k h, the mask padded with empty cells), and an edge
-    counts when its midpoint radius lies strictly inside (r_in, r_out).
+    outside it lies beyond r_out.  The exposed edges are those that
+    raster_measures counts (``_edge_lattices``), and an edge counts when
+    its midpoint radius lies strictly inside (r_in, r_out).
     """
     r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
     h = rs.h
@@ -432,12 +430,8 @@ def check_rel_isop(rs: RasterSet, j: int):
     area = math.pi * (r_out ** 2 - r_in ** 2)
     minus = max(area - inter, 0.0)
     lhs = min(inter, minus) ** 0.5
-    m = np.pad(sub, 1, constant_values=False)
-    xe = rs.x0 + np.arange(i0, i1 + 1) * h
-    ye = rs.y0 + np.arange(j0, j1 + 1) * h
     edges = 0
-    for exposed, ex, ey in ((m[:-1, 1:-1] ^ m[1:, 1:-1], xe, cy),
-                            (m[1:-1, :-1] ^ m[1:-1, 1:], cx, ye)):
+    for exposed, ex, ey in _edge_lattices(rs, i0, i1, j0, j1):
         rr = np.sqrt(ex[:, None] ** 2 + ey[None, :] ** 2)
         edges += int(np.count_nonzero(exposed & (rr > r_in) & (rr < r_out)))
     per = EDGE_FACTOR * h * edges

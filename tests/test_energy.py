@@ -76,7 +76,7 @@ def test_volume_quadrature_weights():
     assert np.all(W > 0)
     assert math.fsum(W) == pytest.approx(math.pi * 1.3 ** 2, rel=1e-8)
     with pytest.raises(ValidationError):
-        VolumeQuadrature.build(shape, n_s=0)
+        VolumeQuadrature(s=np.empty(0), v=np.empty(0), h=vq.h)
 
 
 def test_riesz_ball_frozen_reference():
@@ -90,7 +90,7 @@ def test_riesz_ball_frozen_reference():
 def test_riesz_ball_exact_d3():
     shape = _ball(3, 1.0, n=24)
     r = riesz_self(shape, EnergyParams(d=3, p=2.0, alpha=1.0),
-                   VolumeQuadrature.build(shape, n_s=24))
+                   VolumeQuadrature.build(shape))
     assert float(r) == pytest.approx(32 * math.pi ** 2 / 15, rel=5e-3)
     assert abs(float(r) - 32 * math.pi ** 2 / 15) <= r.error
 
@@ -315,10 +315,9 @@ def test_total_energy_decomposition_two_components():
 
 
 def test_alpha_range_enforced():
-    shape = _ball(2, 1.0)
+    vq = VolumeQuadrature.build(_ball(2, 1.0))
     with pytest.raises(ValidationError):
-        riesz_self(shape, EnergyParams(d=2, p=2.0, alpha=1.0, gamma=0.0),
-                   VolumeQuadrature.build(shape, h=-1.0))
+        VolumeQuadrature(s=vq.s, v=vq.v, h=-1.0)
     with pytest.raises(ValidationError):
         EnergyParams(d=2, p=2.0, alpha=2.5)
     with pytest.raises(ValidationError):

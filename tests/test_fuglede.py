@@ -7,7 +7,6 @@ import pytest
 
 from isoshape.errors import (
     DegenerateDeficitError,
-    ExtrapolationUnstableError,
     GraphConditionError,
     ValidationError,
 )
@@ -56,7 +55,7 @@ def test_graph_condition():
     pert = mode_perturbation(g, 0.6, 2)
     with pytest.raises(GraphConditionError):
         shape_from_perturbation(pert)
-    shape = shape_from_perturbation(mode_perturbation(g, 0.3, 2), R=2.0)
+    shape = shape_from_perturbation(mode_perturbation(g, 0.3, 2, R=2.0))
     assert shape.radii.max() == pytest.approx(2.6, rel=1e-12)
 
 
@@ -85,10 +84,11 @@ def test_i1_i2_split_reassembles_deficit():
     rng = np.random.default_rng(6)
     for d, n in ((2, 96), (3, 16)):
         g = make_grid(d, n)
-        pert = random_perturbation(g, rng, c1_bound=0.1)
+        field = random_perturbation(g, rng, c1_bound=0.1)
         for R in (1.0, 1.3):
-            i1, i2 = i1_i2_split(pert, R=R)
-            deficit = perimeter_deficit(pert, R=R)
+            pert = Perturbation(grid=g, u=field.u, R=R, p=field.p)
+            i1, i2 = i1_i2_split(pert)
+            deficit = perimeter_deficit(pert)
             assert R ** (d - 1) * (i1 + i2) == pytest.approx(
                 deficit, abs=1e-12 * max(1.0, abs(deficit)))
 
@@ -167,11 +167,14 @@ def test_stability_ratio_degenerate_translation_mode():
         stability_ratio(pert, alpha=1.0, gamma=1.0)
 
 
-def test_riesz_deficit_rtol_guard():
-    g = make_grid(2, 64)
-    pert = mode_perturbation(g, 0.1, 2)
-    with pytest.raises(ExtrapolationUnstableError):
-        riesz_deficit(pert, alpha=1.0, rtol=1e-15)
+def test_radius_is_not_positional():
+    # R belongs to the Perturbation; a positional 1.3 must not be taken
+    # silently as alpha
+    pert = mode_perturbation(make_grid(2, 64), 0.1, 2)
+    with pytest.raises(TypeError):
+        riesz_deficit(pert, 1.3)
+    with pytest.raises(TypeError):
+        stability_ratio(pert, 1.3)
 
 
 def test_deficit_report_and_csv():

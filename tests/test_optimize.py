@@ -290,7 +290,7 @@ def test_optimizer_options_validation():
     for max_iter in (0, 1.5, "5"):
         with pytest.raises(ValidationError):
             OptimizerOptions(max_iter=max_iter)
-    # a malformed init spec fails here, before any sweep thread starts
+    # a malformed init spec fails here, before any descent starts
     for init in _BAD_INIT_SPECS:
         with pytest.raises(ValidationError):
             OptimizerOptions(init=init)

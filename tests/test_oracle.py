@@ -34,9 +34,9 @@ from isoshape.oracle import (
 )
 
 
-def _disk_raster(R=1.0, h=0.005, pad=None):
+def _disk_raster(R=1.0, h=0.005):
     ball = make_ball(R, np.zeros(2), make_grid(2, 128))
-    return rasterize(ball, h, pad=pad)
+    return rasterize(ball, h)
 
 
 def _square_raster(x_lo=0.0, h=0.05):
@@ -227,8 +227,8 @@ def test_halfplane_relative_perimeter_direction_averaged():
     assert np.mean(lengths) == pytest.approx(2.0, abs=0.05)
 
 
-def _rel_isop_reference(rs, j):
-    """check_rel_isop by enumerating the midpoint of every exposed edge."""
+def _exposed_midpoints(rs):
+    """Midpoint of every exposed edge, cell by cell in four directions."""
     m = np.pad(rs.mask, 1, constant_values=False)
     core = m[1:-1, 1:-1]
     mids = []
@@ -238,7 +238,12 @@ def _rel_isop_reference(rs, j):
         ii, jj = np.nonzero(core & ~nb)
         mids.append(np.stack([rs.x0 + (ii + oi) * rs.h,
                               rs.y0 + (jj + oj) * rs.h], axis=1))
-    mids = np.concatenate(mids)
+    return np.concatenate(mids)
+
+
+def _rel_isop_reference(rs, j):
+    """check_rel_isop by enumerating the midpoint of every exposed edge."""
+    mids = _exposed_midpoints(rs)
     r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
     cx, cy = rs.cell_centers()
     rho2 = cx[:, None] ** 2 + cy[None, :] ** 2
@@ -290,6 +295,19 @@ def test_rel_isop_matches_midpoint_enumeration():
     assert n == 31
 
 
+def test_raster_measures_matches_midpoint_enumeration():
+    for rs, _ in _rel_isop_cases():
+        mids = _exposed_midpoints(rs)
+        for p in (0.0, 1.0, 2.0, 2.5):
+            vol, per, wper = raster_measures(rs, p)
+            assert vol == rs.volume
+            assert per == OR.EDGE_FACTOR * rs.h * mids.shape[0]
+            # same edge weights, summed in another order
+            ref = OR.EDGE_FACTOR * rs.h * float(
+                (np.linalg.norm(mids, axis=1) ** p).sum())
+            assert wper == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_rel_isop_degenerate_annulus(monkeypatch):
     # with a zero edge weight every proper intersection has no relative
     # perimeter, so both forms must take the DegenerateAnnulusError path
@@ -320,7 +338,8 @@ def test_halfplane_raster_matches_point_cloud():
 
 
 def test_weighted_density_probes():
-    rs = _disk_raster(h=0.005, pad=0.3)
+    rs = raster_from_predicate(lambda x, y: x * x + y * y <= 1.0,
+                               ((-1.3, 1.3), (-1.3, 1.3)), 0.005)
     assert weighted_density(rs, (0.0, 0.0), 0.3, 0.0) == 0.0
     # lens fractions of B_0.15((1, 0)) against the unit disk, computed
     # on a 0.0005 reference grid; the |x|^2 weight favors the outer half
