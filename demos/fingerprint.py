@@ -33,7 +33,8 @@ One line per fingerprint:
   round trip of each descent's final configuration: the file text and
   the reloaded radii and centers;
 - Riesz values (riesz_self with its error bar, interaction, potential)
-  in both forms;
+  in both forms, and riesz_self at d=2 n=20 and n=25, whose coarse
+  levels are every other node and the trigonometric interpolant;
 - the Fuglede quantities (perimeter_deficit, i1_i2_split, riesz_deficit
   with its error bar, stability_ratio) of one mode and one
   random_perturbation field;
@@ -175,6 +176,13 @@ def riesz_values():
             print(f"riesz d={d} n={n} alpha={alpha:g}: self=({f(rs.value)}, "
                   f"{f(rs.error)}) cross={f(interaction(star, far, params))} "
                   f"potential={f(potential(star, np.full(d, 0.1), params))}")
+    rng = np.random.default_rng(6)
+    for n in (20, 25):
+        star = random_star(rng, n=n, d=2, amp=0.1, kmax=3)
+        for alpha in (0.5, 1.0, 1.5):
+            rs = riesz_self(star, EnergyParams(d=2, p=2.0, alpha=alpha))
+            print(f"riesz_self d=2 n={n} alpha={alpha:g}: "
+                  f"({f(rs.value)}, {f(rs.error)})")
 
 
 def fuglede_values():

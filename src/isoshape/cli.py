@@ -326,9 +326,17 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
+def _positive_gamma(cfg: RunConfig) -> float:
+    """The gamma of a command that needs gamma > 0, else ConfigError."""
+    if not cfg.params.gamma > 0:
+        raise ConfigError(f"key 'gamma': {cfg.command} needs gamma > 0, "
+                          f"got {cfg.params.gamma:g}")
+    return cfg.params.gamma
+
+
 def _cmd_fuglede(cfg: RunConfig, outdir: Path) -> int:
+    gamma = _positive_gamma(cfg)
     grid = make_grid(cfg.params.d, cfg.n)
-    gamma = cfg.params.gamma if cfg.params.gamma > 0 else 1.0
     rows = deficit_report(grid, modes=(2, 3, 4, 5, 6),
                           epsilons=(0.1, 0.05, 0.025), R=1.0,
                           p=cfg.params.p, alpha=cfg.params.alpha, gamma=gamma)
@@ -359,7 +367,7 @@ _SCALE_GRID = ((0.5, 0.5), (1.0, 0.5), (3.0, 0.5),
 def _cmd_scale_check(cfg: RunConfig, outdir: Path) -> int:
     from .oracle import random_star
     d = cfg.params.d
-    gamma = cfg.params.gamma
+    gamma = _positive_gamma(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     failures = 0

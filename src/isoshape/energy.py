@@ -34,11 +34,11 @@ built from the grid's tangential stencils, so
 
 over boundary node pairs; the i = j term is 0.  S_n is the value that
 is minimized, differentiated and reported.  Its error bar is
-|S_n - S_c|, where S_c is the same sum on a coarse level with its own
-tangential stencils: in d=2 the uniform grid of ceil(n/2) angles (the
-even-indexed nodes for even n; for odd n the trigonometric interpolant
-of the radii evaluated there), in d=3 every other azimuth with doubled
-weights.  The potential takes the single-layer form
+|S_n - S_c|, where S_c is the same sum on the grid's coarse level
+(``SphereGrid.coarse``) with its own tangential stencils: every other
+node of the uniform axis (angle in d=2, azimuth in d=3) with doubled
+weights, or for odd d=2 n the trigonometric interpolant of the radii
+at ceil(n/2) uniform angles.  The potential takes the single-layer form
 v(x) = -1/(d-alpha) int_dOmega |x-y|^{-alpha} (x-y) . n_y.
 
 Volume form, alpha > 3/2.  Near alpha = 2 the |t|^{2-alpha} kink of the
@@ -320,63 +320,18 @@ def _boundary_nodes(grid: SphereGrid, center, r, comps):
     the tangential components comps = D_k(r) on that grid."""
     Y = center[None, :] + r[:, None] * grid.nodes
     T = r[:, None] * grid.nodes
-    for c, t in zip(comps, grid.tangent_frame()):
+    for c, t in zip(comps, grid.tangent_frame):
         T -= c[:, None] * t
     return Y, (grid.weights * r ** (grid.d - 2))[:, None] * T
 
 
-def _every_other_azimuth(g: SphereGrid, a):
-    """The rows of a (one per node of the d=3 grid g) at every other
-    azimuth."""
-    a = a.reshape(g.shape2d + a.shape[1:])[:, ::2]
-    return a.reshape(-1, *a.shape[2:])
-
-
-def _coarse_level(g: SphereGrid):
-    """(coarse grid, E) of the fine grid g, built once per grid and kept
-    in its ``_cache``; E is the m x n matrix of the trigonometric
-    interpolant for odd d=2 n, else None.
-
-    d=2: the uniform grid of m = ceil(n/2) angles.  d=3: every other
-    azimuth, with doubled weights and the stencil of n azimuths.
-    """
-    level = g._cache.get("coarse")
-    if level is not None:
-        return level
-    E = None
-    if g.d == 2:
-        m = (g.n + 1) // 2
-        theta = 2.0 * math.pi * np.arange(m) / m
-        if g.n % 2:
-            E = np.exp(1j * np.outer(theta, np.fft.fftfreq(g.n, 1.0 / g.n)))
-            E.setflags(write=False)
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        coarse = SphereGrid(d=2, n=m, nodes=nodes, theta=theta,
-                            weights=np.full(m, 2.0 * math.pi / m))
-    else:
-        coarse = SphereGrid(d=3, n=g.n, nodes=_every_other_azimuth(g, g.nodes),
-                            weights=2.0 * _every_other_azimuth(g, g.weights),
-                            polar=g.polar, azimuth=g.azimuth[::2],
-                            dpolar=g.dpolar)
-    level = g._cache["coarse"] = (coarse, E)
-    return level
-
-
 def _coarse_nodes(shape: StarShape):
-    """Boundary nodes of the coarse level, with its own stencils.
-
-    d=2: for even n the radii are those of the even-indexed nodes, for
-    odd n the values of the trigonometric interpolant of the n radii.
-    d=3: the radii at every other azimuth.
-    """
+    """Boundary nodes of the grid's coarse level, with its own stencils:
+    the radii r[::2], or the trigonometric interpolant E of the n radii
+    where ``SphereGrid.coarse`` has one."""
     g, r = shape.grid, shape.radii
-    coarse, E = _coarse_level(g)
-    if g.d == 3:
-        rc = _every_other_azimuth(g, r)
-    elif E is None:
-        rc = r[::2]
-    else:
-        rc = (E @ np.fft.fft(r)).real / g.n
+    coarse, E = g.coarse
+    rc = r[::2].copy() if E is None else (E @ np.fft.fft(r)).real / g.n
     return _boundary_nodes(coarse, shape.center, rc, coarse.grad_components(rc))
 
 
@@ -452,7 +407,7 @@ def _boundary_gradient(shapes, alpha: float):
         gy, gn = gY[i0:i1], gN[i0:i1]
         # N depends on r_i through w r^(d-1) theta, through the factor
         # w r^(d-2) of its tangential part, and through the stencils D_k
-        gt = [np.einsum("ij,ij->i", gn, t) for t in g.tangent_frame()]
+        gt = [np.einsum("ij,ij->i", gn, t) for t in g.tangent_frame]
         comps = s.slopes
         gr = np.einsum("ij,ij->i", gy + (d - 1) * (w * r ** (d - 2))[:, None] * gn,
                        g.nodes)

@@ -23,12 +23,12 @@ samples, so the energy module can differentiate its quadrature sums
 exactly.  The periodic stencil wrap-pads its axis once and reads the
 four shifted operands as slices of the padded copy.
 
-What depends only on the grid or only on the shape is computed once and
-kept read-only in their ``_cache`` dicts: a grid's tangent frame and
-the coarse level of its Riesz error bar (and the optimizer's H^1
-factor), a shape's radial slopes ``StarShape.slopes`` and its spline
-interpolant.  Every perimeter, boundary-node and resolvability
-evaluation of one shape reads the same slopes.
+What depends only on the grid or only on the shape is a cached
+property of that object, computed once and read-only: a grid's
+``tangent_frame`` and ``coarse`` level of the Riesz error bar, a shape's
+radial ``slopes`` and its d=2 ``spline`` interpolant.  Every perimeter,
+boundary-node and resolvability evaluation of one shape reads the same
+slopes.
 
 A StarShape also has a continuous interpretation used by the raster and
 Monte Carlo oracles: the radial samples are interpolated (periodic
@@ -45,7 +45,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -147,9 +148,6 @@ class SphereGrid:
     polar: np.ndarray | None = None    # d=3: polar angles, ascending, no poles
     azimuth: np.ndarray | None = None  # d=3: uniform azimuths
     dpolar: np.ndarray | None = None   # d=3: dense polar derivative matrix
-    # per-grid arrays built on first use: the tangent frame, the coarse
-    # level of the Riesz error bar and the optimizer's H^1 factor
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -188,14 +186,10 @@ class SphereGrid:
                             2.0 * math.pi / self.azimuth.size)
         return out.ravel()
 
-    def tangent_frame(self):
-        """Orthonormal tangent vectors at each node, ambient coordinates.
-
-        Built once per grid and kept read-only in ``_cache``.
-        """
-        frame = self._cache.get("tangent_frame")
-        if frame is not None:
-            return frame
+    @cached_property
+    def tangent_frame(self) -> tuple:
+        """Orthonormal tangent vectors at each node, ambient coordinates;
+        built once per grid and read-only."""
         if self.d == 2:
             t = self.theta
             frame = (np.stack([-np.sin(t), np.cos(t)], axis=1),)
@@ -210,8 +204,32 @@ class SphereGrid:
             frame = (e_phi, e_psi)
         for e in frame:
             e.setflags(write=False)
-        self._cache["tangent_frame"] = frame
         return frame
+
+    @cached_property
+    def coarse(self) -> tuple:
+        """(grid, E): the coarse level of the Riesz error bar, built once.
+
+        For odd d=2 n, the uniform grid of m = (n+1)/2 angles and the
+        read-only m x n matrix E of the trigonometric interpolant at its
+        angles.  Otherwise every other node of the uniform axis (the
+        angle in d=2, the azimuth in d=3), with doubled weights, and
+        E = None: that axis has even length and runs fastest in the flat
+        node order, so its coarse radii are r[::2].
+        """
+        if self.d == 2 and self.n % 2:
+            m = (self.n + 1) // 2
+            theta = 2.0 * math.pi * np.arange(m) / m
+            E = np.exp(1j * np.outer(theta, np.fft.fftfreq(self.n, 1.0 / self.n)))
+            E.setflags(write=False)
+            nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            return SphereGrid(d=2, n=m, nodes=nodes, theta=theta,
+                              weights=np.full(m, 2.0 * math.pi / m)), E
+        half = dict(nodes=self.nodes[::2].copy(), weights=2.0 * self.weights[::2])
+        if self.d == 2:
+            return replace(self, n=self.n // 2, theta=self.theta[::2].copy(),
+                           **half), None
+        return replace(self, azimuth=self.azimuth[::2].copy(), **half), None
 
 
 def make_grid(d: int, n: int) -> SphereGrid:
@@ -253,7 +271,7 @@ def make_grid(d: int, n: int) -> SphereGrid:
 def tangential_gradient(field, grid: SphereGrid) -> np.ndarray:
     """Tangential gradient of a nodal field, as ambient (N, d) vectors."""
     comps = grid.grad_components(field)
-    frame = grid.tangent_frame()
+    frame = grid.tangent_frame
     out = comps[0][:, None] * frame[0]
     for c, e in zip(comps[1:], frame[1:]):
         out += c[:, None] * e
@@ -271,7 +289,6 @@ class StarShape:
     grid: SphereGrid
     center: np.ndarray
     radii: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         c = np.array(self.center, dtype=float).reshape(-1)
@@ -293,17 +310,25 @@ class StarShape:
     def max_radius(self) -> float:
         return float(self.radii.max())
 
-    @property
+    @cached_property
     def slopes(self) -> tuple:
         """Tangential components of grad r, ``grid.grad_components(radii)``,
         computed once per shape and read-only."""
-        comps = self._cache.get("slopes")
-        if comps is None:
-            comps = tuple(self.grid.grad_components(self.radii))
-            for c in comps:
-                c.setflags(write=False)
-            self._cache["slopes"] = comps
+        comps = tuple(self.grid.grad_components(self.radii))
+        for c in comps:
+            c.setflags(write=False)
         return comps
+
+    @cached_property
+    def spline(self) -> CubicSpline:
+        """Periodic cubic spline of the d=2 radii over [0, 2 pi], built
+        once per shape, with read-only knots and coefficients."""
+        sp = CubicSpline(np.append(self.grid.theta, 2.0 * math.pi),
+                         np.append(self.radii, self.radii[0]),
+                         bc_type="periodic")
+        for a in (sp.x, sp.c):
+            a.setflags(write=False)
+        return sp
 
 
 def make_ball(R: float, center, grid: SphereGrid) -> StarShape:
@@ -388,17 +413,6 @@ def dilate(obj, t: float):
 # continuous interpretation (shared by the raster / Monte Carlo oracles)
 # ----------------------------------------------------------------------
 
-def _spline(shape: StarShape) -> CubicSpline:
-    sp = shape._cache.get("spline")
-    if sp is None:
-        g = shape.grid
-        th = np.append(g.theta, 2.0 * math.pi)
-        rr = np.append(shape.radii, shape.radii[0])
-        sp = CubicSpline(th, rr, bc_type="periodic")
-        shape._cache["spline"] = sp
-    return sp
-
-
 def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
     """Interpolated radial function at arbitrary unit directions."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -408,7 +422,7 @@ def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
     ang = np.arctan2(dirs[:, 1], dirs[:, 0])
     np.add(ang, 2.0 * math.pi, out=ang, where=ang < 0)
     if g.d == 2:
-        return _spline(shape)(ang)
+        return shape.spline(ang)
     phi = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
     return _bilinear(shape, phi, ang)
 
@@ -466,7 +480,7 @@ def interpolated_volume(shape: StarShape) -> float:
     """Measure of the interpreted set (1/d) int r_interp^d, to near machine precision."""
     g = shape.grid
     if g.d == 2:
-        sp = _spline(shape)
+        sp = shape.spline
         th = np.append(g.theta, 2.0 * math.pi)
         xg, wg = np.polynomial.legendre.leggauss(4)   # exact for the cubic squared
         a, b = th[:-1], th[1:]

@@ -31,8 +31,9 @@ out the k^2 stiffness of high angular modes.  The operator is assembled
 from the grid's own tangential stencils (``SphereGrid.grad_components``
 applied to the columns of the identity), so u^T (M + D^T M D) u is
 the H^1 norm that ``asphericity`` measures.  Its Cholesky factor is
-built once per grid and kept on it, so every run on that grid, the
-fresh and warm starts of a sweep included, shares it.
+built once per grid and kept in a weak map keyed by the grid, so every
+run on that grid, the fresh and warm starts of a sweep included, shares
+it, and dropping the grid frees it.
 
 The descent moves only within the band of angular modes that the
 tangential stencils resolve (``_band_limited``), and a candidate with a
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -270,12 +272,15 @@ def _check_grid_size(grid: SphereGrid):
             f"{H1_MAX_NODES} nodes, so lower --n")
 
 
+# The Cholesky factor of each grid's H^1 operator, built on first use.
+_H1_FACTORS = weakref.WeakKeyDictionary()
+
+
 def _h1_solve(grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
-    """(M + D^T M D)^{-1} rhs, with the Cholesky factor cached on the
-    grid."""
-    factor = grid._cache.get("h1_factor")
+    """(M + D^T M D)^{-1} rhs, with the grid's factor from _H1_FACTORS."""
+    factor = _H1_FACTORS.get(grid)
     if factor is None:
-        factor = grid._cache["h1_factor"] = cho_factor(_h1_operator(grid))
+        factor = _H1_FACTORS[grid] = cho_factor(_h1_operator(grid))
     return cho_solve(factor, rhs)
 
 

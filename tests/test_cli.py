@@ -219,6 +219,16 @@ def test_grid_too_large_for_a_descent_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gamma_zero_is_a_config_error(tmp_path, capsys):
+    # fuglede divides by gamma and scale-check maps it to a mass: both
+    # reject gamma = 0 before any work, and write no artifact
+    for command in ("fuglede", "scale-check"):
+        assert main([command, "--gamma", "0", "--n", "16",
+                     "--out", str(tmp_path)]) == 2
+        assert "'gamma'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _fake_records():
     gammas = np.logspace(-3, 2, 6)
     return [SweepRecord(gamma=float(g), p=2.0, alpha=1.0, d=2,

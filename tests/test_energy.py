@@ -557,7 +557,7 @@ def test_coarse_level_cache_keeps_riesz_values(d, n):
         again = riesz_self(on_grid, params)
         fresh = riesz_self(shape, params)
         assert first == again == fresh
-    assert "coarse" in grid._cache
+    assert grid.coarse is grid.coarse
 
 
 def test_volume_form_above_boundary_alpha_max():

@@ -1,5 +1,6 @@
 """Grids, star shapes, measures, and their exact invariants."""
 
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,6 @@ from isoshape.geometry import (
     StarShape,
     _bilinear,
     _periodic_d1,
-    _spline,
     config_membership,
     dilate,
     load_configuration,
@@ -282,11 +282,13 @@ def test_periodic_stencil_matches_the_rolled_form(d, n):
     assert np.array_equal(g.grad_components_T(t), want)
 
 
-@pytest.mark.parametrize("d,n", [(2, 20), (3, 8)])
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 9), (3, 8)])
 def test_tangent_frame_is_built_once_and_read_only(d, n):
+    # and the coarse level: every other node, or for odd d=2 n the
+    # uniform half grid with the interpolation matrix E
     g = make_grid(d, n)
-    frame = g.tangent_frame()
-    again = g.tangent_frame()
+    frame = g.tangent_frame
+    again = g.tangent_frame
     assert len(frame) == d - 1
     assert all(a is b for a, b in zip(frame, again, strict=True))
     for e in frame:
@@ -295,6 +297,34 @@ def test_tangent_frame_is_built_once_and_read_only(d, n):
         assert np.abs(np.einsum("ij,ij->i", e, g.nodes)).max() <= 1e-14
         with pytest.raises(ValueError):
             e[0, 0] = 0.0
+    coarse, E = g.coarse
+    assert g.coarse is g.coarse
+    assert coarse.n_nodes == (g.n_nodes + 1) // 2
+    assert abs(coarse.weights.sum() - sphere_area(d)) <= 1e-12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        coarse.weights = g.weights
+    if d == 2 and n % 2:
+        assert E.shape == (coarse.n, n)
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0, 0] = 0.0
+    else:
+        assert E is None
+        assert np.array_equal(coarse.nodes, g.nodes[::2])
+
+
+def test_coarse_level_d2_even_is_the_uniform_half_grid():
+    # every other node of an even grid equals the fresh uniform grid of
+    # n/2 angles bit for bit (built by hand: n/2 may be below 8)
+    for n in range(8, 201, 2):
+        coarse, E = make_grid(2, n).coarse
+        m = n // 2
+        theta = 2.0 * math.pi * np.arange(m) / m
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        assert E is None and coarse.n == m
+        for got, want in ((coarse.theta, theta), (coarse.nodes, nodes),
+                          (coarse.weights, np.full(m, 2.0 * math.pi / m))):
+            assert got.tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("d,n", [(2, 20), (2, 9), (3, 8)])
@@ -307,6 +337,14 @@ def test_shape_slopes_are_the_grid_components_cached(d, n):
     for c, w in zip(slopes, want):
         assert np.array_equal(c, w)
         assert not c.flags.writeable
+    if d == 2:
+        spline = shape.spline
+        assert shape.spline is spline
+        assert np.array_equal(spline(shape.grid.theta), shape.radii)
+        for a in (spline.x, spline.c):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 @pytest.mark.parametrize("d,n", [(2, 64), (3, 12)])
@@ -325,7 +363,7 @@ def test_radial_at_directions_wraps_the_azimuth_like_np_mod(d, n):
     for seed in range(8):
         shape = random_star(np.random.default_rng(seed), n=n, d=d)
         if d == 2:
-            want = _spline(shape)(wrapped)
+            want = shape.spline(wrapped)
         else:
             want = _bilinear(shape, np.arccos(np.clip(dirs[:, 2], -1.0, 1.0)),
                              wrapped)

@@ -451,6 +451,27 @@ def test_minimize_on_a_shared_grid_is_bit_identical(d, n, alpha):
             assert np.array_equal(a.center, b.center)
 
 
+def test_h1_factor_map_releases_a_dropped_grid():
+    # the factor map holds its grids weakly: a grid with no other
+    # reference is freed together with its factor
+    import gc
+    import weakref
+    from isoshape.optimize import _H1_FACTORS
+    params = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=0.5)
+
+    def descend():
+        grid = make_grid(2, 16)
+        minimize(build_initial_config(params, grid, ("perturbed-ball", 0.2, 2)),
+                 params, OptimizerOptions(max_iter=3))
+        assert grid in _H1_FACTORS
+        return weakref.ref(grid), len(_H1_FACTORS)
+
+    ref, held = descend()
+    gc.collect()
+    assert ref() is None
+    assert len(_H1_FACTORS) < held
+
+
 @pytest.mark.parametrize("d,n", [(2, 20), (3, 8)])
 def test_h1_operator_is_the_asphericity_norm(d, n):
     from isoshape.optimize import _h1_operator
@@ -511,11 +532,10 @@ def test_project_volume_rejects_non_finite_trial_vectors():
                 _project_volume(config, trial)
 
 
-# records_to_csv of three sweeps (p=2, alpha=1, max_iter=60), frozen
-# from the sweep that ran every fresh start before the warm starts.
-# Each runs in a child process with one BLAS thread: the Cholesky factor
-# of the d=3 H^1 operator, and with it the d=3 descent, depends on the
-# BLAS thread count.
+# records_to_csv of three sweeps (p=2, alpha=1, max_iter=60).  Each
+# runs in a child process with one BLAS thread: the Cholesky factor of
+# the d=3 H^1 operator, and with it the d=3 descent, depends on the BLAS
+# thread count.
 _FROZEN_SWEEPS = [
     (2, 20, ("perturbed-ball", 0.2, 3), [0.1, 1.0, 10.0], [
         "0.10000000000000001,2,1,2,1.4311463650432779,1.1283791670959704,3.027671979473074,1.0000000000000002,1,2.0733944967160464e-06,57,1",
