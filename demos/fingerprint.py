@@ -38,12 +38,15 @@ One line per fingerprint:
 - the Fuglede quantities (perimeter_deficit, i1_i2_split, riesz_deficit
   with its error bar, stability_ratio) of one mode and one
   random_perturbation field;
-- mc_riesz (estimate, standard error) on balls, random stars and a
-  two-disk configuration, the sha256 of a rasterized mask, its
-  raster_measures, and the reports of three oracle corpora.
+- mc_riesz (estimate, standard error) on balls, random stars, a
+  two-disk configuration and a wavy disk whose spline peaks between the
+  directions of a 4096-point scan; interpolated_volume and mc_riesz on
+  d=3 random stars at n in {8, 16, 24}; the sha256 of a rasterized mask,
+  its raster_measures and mc_riesz on it; and the reports of the oracle
+  corpora, run_rel_isop with and without star blobs.
 
 Floats are printed as repr(float(x)), so a value that changes only its
-numpy scalar type prints the same.  Takes about 15 s on 2 CPUs.
+numpy scalar type prints the same.  Takes 10-15 s on 2 CPUs.
 
 Run:  PYTHONPATH=src python3 demos/fingerprint.py
 """
@@ -71,6 +74,8 @@ from isoshape.fuglede import (
 from isoshape.geometry import (
     Configuration,
     EnergyParams,
+    StarShape,
+    interpolated_volume,
     load_configuration,
     make_ball,
     make_grid,
@@ -90,6 +95,7 @@ from isoshape.oracle import (
     rasterize,
     run_en_lower_bound,
     run_raster_agreement,
+    run_rel_isop,
     run_v_lipschitz,
 )
 
@@ -215,13 +221,32 @@ def oracles():
                           make_ball(0.25, np.array([1.0, 0.2]), g2)))
     est, se = mc_riesz(pair, None, 0.5, MC_SAMPLES, 8)
     print(f"mc_riesz two disks: {f(est)} {f(se)}")
+    # r = 1 + 0.2 cos(16 theta + 0.3) at n=64 overshoots a 4096-point scan
+    # of its spline by more than the scan's 1e-5 padding
+    g64 = make_grid(2, 64)
+    wavy = StarShape(grid=g64, center=np.zeros(2),
+                     radii=1.0 + 0.2 * np.cos(16 * g64.theta + 0.3))
+    est, se = mc_riesz(wavy, None, 0.5, MC_SAMPLES, 9)
+    print(f"mc_riesz wavy disk n=64 k=16: {f(est)} {f(se)}")
+    for n in (8, 16, 24):
+        star = random_star(np.random.default_rng(300 + n), n=n, d=3,
+                           amp=0.2, kmax=4)
+        est, se = mc_riesz(star, None, 1.0, MC_SAMPLES, 300 + n)
+        print(f"star d=3 n={n}: interpolated_volume="
+              f"{f(interpolated_volume(star))} mc_riesz {f(est)} {f(se)}")
     rs = rasterize(stars[2], 1.0 / 128)
+    est, se = mc_riesz(rs, None, 1.0, MC_SAMPLES, 10)
     print(f"rasterize star d=2 mask {sha(rs.mask)} measures p=2 "
-          f"{' '.join(f(x) for x in raster_measures(rs, 2.0))}")
+          f"{' '.join(f(x) for x in raster_measures(rs, 2.0))} "
+          f"mc_riesz {f(est)} {f(se)}")
     for name, run, kw in (("run_raster_agreement", run_raster_agreement,
                            {"seed": 0, "trials": 4}),
                           ("run_v_lipschitz", run_v_lipschitz,
                            {"seed": 0, "trials": 2}),
+                          ("run_rel_isop", run_rel_isop,
+                           {"seed": 0, "blobs": 0}),
+                          ("run_rel_isop", run_rel_isop,
+                           {"seed": 0, "blobs": 3}),
                           ("run_en_lower_bound", run_en_lower_bound, {})):
         print(f"{name} {json.dumps(run(**kw), sort_keys=True)}")
 

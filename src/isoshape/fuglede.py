@@ -271,7 +271,8 @@ def _ratio(per: float, rd: RieszResult, gamma: float) -> float:
 # deficit reports
 # ----------------------------------------------------------------------
 
-DEFICIT_CSV_HEADER = "mode_k,eps,R,p,alpha,per_deficit,riesz_deficit,h1_sq,ratio"
+DEFICIT_CSV_HEADER = ("mode_k,eps,R,p,alpha,gamma,per_deficit,riesz_deficit,"
+                      "h1_sq,ratio")
 
 
 def deficit_report(grid: SphereGrid, modes, epsilons, R: float, p: float,
@@ -289,6 +290,7 @@ def deficit_report(grid: SphereGrid, modes, epsilons, R: float, p: float,
                 ratio = None
             rows.append({
                 "mode_k": k, "eps": eps, "R": R, "p": p, "alpha": alpha,
+                "gamma": gamma,
                 "per_deficit": per,
                 "riesz_deficit": float(rd),
                 "h1_sq": h1_norm_sq(pert),
@@ -304,6 +306,6 @@ def report_to_csv(rows) -> str:
         ratio = "indeterminate" if r["ratio"] is None else f"{r['ratio']:.17g}"
         lines.append(
             f"{r['mode_k']:d},{r['eps']:.17g},{r['R']:.17g},{r['p']:.17g},"
-            f"{r['alpha']:.17g},{r['per_deficit']:.17g},"
+            f"{r['alpha']:.17g},{r['gamma']:.17g},{r['per_deficit']:.17g},"
             f"{r['riesz_deficit']:.17g},{r['h1_sq']:.17g},{ratio}")
     return "\n".join(lines) + "\n"

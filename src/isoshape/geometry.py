@@ -25,8 +25,9 @@ four shifted operands as slices of the padded copy.
 
 What depends only on the grid or only on the shape is a cached
 property of that object, computed once and read-only: a grid's
-``tangent_frame`` and ``coarse`` level of the Riesz error bar, a shape's
-radial ``slopes`` and its d=2 ``spline`` interpolant.  Every perimeter,
+``tangent_frame``, ``coarse`` level of the Riesz error bar and d=3
+``polar_cells`` table, a shape's radial ``slopes``, its d=2 ``spline``
+interpolant and its d=3 ``wrapped_radii``.  Every perimeter,
 boundary-node and resolvability evaluation of one shape reads the same
 slopes.
 
@@ -34,6 +35,11 @@ A StarShape also has a continuous interpretation used by the raster and
 Monte Carlo oracles: the radial samples are interpolated (periodic
 cubic spline for d=2, bilinear on the lat-long grid for d=3) and
 membership of a point x is the test |x - c| <= r_interp(angle(x - c)).
+The bilinear kernel is table-driven: a uniform bucket table in the
+polar angle, with at most one node per bucket, gives the polar interval
+with one comparison, and the radii padded with two wrap-around azimuth
+columns give all four corners from one flat index, without a modulo.
+It computes the same bits as a binary search with a periodic wrap.
 The quadrature path never touches the interpolant.
 
 Every radial sample is at least the floor R_MIN: shapes below it are
@@ -207,6 +213,33 @@ class SphereGrid:
         return frame
 
     @cached_property
+    def polar_cells(self) -> tuple:
+        """(ilo, edge, scale, gaps): the d=3 table that maps a polar angle
+        phi in [0, pi] to its interpolation interval, built once per grid
+        and read-only.
+
+        Bucket b = int(phi * scale) holds at most one polar node, so
+        ilo[b] + (phi > edge[b]) is exactly
+        clip(searchsorted(polar, phi) - 1, 0, n - 2): edge[b] is the node
+        in bucket b when it is an inner node, else +inf (no node, or the
+        clip makes the comparison moot).  gaps = diff(polar).
+        """
+        pol = self.polar
+        gaps = np.diff(pol)
+        # buckets at most half the smallest gap wide: two nodes lie two
+        # buckets apart, whatever the rounding of phi * scale
+        nb = 2 * math.ceil(math.pi / float(gaps.min()))
+        scale = nb / math.pi
+        node_bucket = (pol * scale).astype(np.intp)
+        ilo = np.clip(np.searchsorted(node_bucket, np.arange(nb + 1)) - 1,
+                      0, pol.size - 2)
+        edge = np.full(nb + 1, math.inf)
+        edge[node_bucket[1:-1]] = pol[1:-1]
+        for a in (ilo, edge, gaps):
+            a.setflags(write=False)
+        return ilo, edge, scale, gaps
+
+    @cached_property
     def coarse(self) -> tuple:
         """(grid, E): the coarse level of the Riesz error bar, built once.
 
@@ -320,6 +353,17 @@ class StarShape:
         return comps
 
     @cached_property
+    def wrapped_radii(self) -> np.ndarray:
+        """The d=3 radii as flat polar rows of n_azimuth + 2 samples, each
+        row followed by its first two samples again, built once per shape
+        and read-only: the bilinear corners of azimuth cell j in
+        [0, n_azimuth] sit at columns j and j + 1 without a wrap."""
+        rows = self.radii.reshape(self.grid.shape2d)
+        wrapped = np.concatenate((rows, rows[:, :2]), axis=1).ravel()
+        wrapped.setflags(write=False)
+        return wrapped
+
+    @cached_property
     def spline(self) -> CubicSpline:
         """Periodic cubic spline of the d=2 radii over [0, 2 pi], built
         once per shape, with read-only knots and coefficients."""
@@ -416,11 +460,15 @@ def dilate(obj, t: float):
 def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
     """Interpolated radial function at arbitrary unit directions."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if not np.isfinite(dirs).all():
+        raise ValidationError("non-finite direction")
     g = shape.grid
     # the azimuth in [0, 2 pi], as np.mod gives it: an angle in
-    # (-4.4e-16, 0) rounds up to 2 pi, which the periodic spline wraps to 0
+    # (-4.4e-16, 0) rounds up to 2 pi, which the periodic spline wraps
+    # to 0, and -0.0 becomes +0.0 (a branch-free add; both interpolants
+    # take the same value at either zero)
     ang = np.arctan2(dirs[:, 1], dirs[:, 0])
-    np.add(ang, 2.0 * math.pi, out=ang, where=ang < 0)
+    ang += (ang < 0) * (2.0 * math.pi)
     if g.d == 2:
         return shape.spline(ang)
     phi = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
@@ -428,29 +476,42 @@ def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
 
 
 def _bilinear(shape: StarShape, phi, psi):
+    """The d=3 bilinear interpolant at polar angles phi in [0, pi] and
+    azimuths psi in [0, 2 pi].
+
+    Beyond the extreme polar rows it is constant in phi (radial caps);
+    in psi it wraps periodically.  The polar interval comes from the
+    grid's ``polar_cells`` table, the four corners from one flat index
+    into the shape's ``wrapped_radii``.
+    """
     g = shape.grid
-    pol, az = g.polar, g.azimuth
-    na = az.size
-    dpsi = 2.0 * math.pi / na
-    # polar interval, clamped: constant radial caps beyond the extreme rows
-    i = np.searchsorted(pol, phi) - 1
-    i = np.clip(i, 0, pol.size - 2)
-    t = (phi - pol[i]) / (pol[i + 1] - pol[i])
-    t = np.clip(t, 0.0, 1.0)
-    # azimuth interval with periodic wrap; nodes by flat index i na + j
-    u = psi / dpsi
+    ilo, edge, scale, gaps = g.polar_cells
+    b = (phi * scale).astype(np.intp)
+    i = ilo[b]
+    i += phi > edge[b]
+    t = (phi - g.polar[i]) / gaps[i]
+    np.clip(t, 0.0, 1.0, out=t)
+    u = psi / (2.0 * math.pi / g.azimuth.size)
     j = np.floor(u)
     u -= j
-    j = j.astype(int) % na
-    jp = (j + 1) % na
-    R = shape.radii
-    i *= na
-    r00 = R[i + j]
-    r01 = R[i + jp]
-    i += na
-    r10 = R[i + j]
-    r11 = R[i + jp]
-    return (1 - t) * ((1 - u) * r00 + u * r01) + t * ((1 - u) * r10 + u * r11)
+    stride = g.azimuth.size + 2
+    i *= stride
+    i += j.astype(np.intp)
+    R = shape.wrapped_radii
+    r00, r01 = R[i], R[1:][i]
+    r10, r11 = R[stride:][i], R[stride + 1:][i]
+    # (1 - t) ((1 - u) r00 + u r01) + t ((1 - u) r10 + u r11), in place
+    v = 1 - u
+    r00 *= v
+    r01 *= u
+    r00 += r01
+    r10 *= v
+    r11 *= u
+    r10 += r11
+    r00 *= 1 - t
+    r10 *= t
+    r00 += r10
+    return r00
 
 
 def membership(shape: StarShape, pts) -> np.ndarray:
@@ -460,6 +521,8 @@ def membership(shape: StarShape, pts) -> np.ndarray:
     direction, so it is divided by 1 and counted inside.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not np.isfinite(pts).all():
+        raise ValidationError("non-finite point")
     cols = [pts[:, k] - c for k, c in enumerate(shape.center)]
     rho = np.sqrt(sum(y * y for y in cols))
     at_center = rho == 0.0

@@ -20,8 +20,17 @@ the Riesz energy V(A,B) = int_A int_B |x-y|^(-alpha) with the exact
 singular kernel over uniform point pairs: directions are drawn by
 angular rejection under the envelope r_max, radii by the exact inverse
 CDF rho = s^(1/d) r(theta), so samples are exactly uniform over the
-interpolated set.  Samples are held as one contiguous row per
-coordinate.
+interpolated set.  The envelope is a true majorant: the nodal maximum
+for the bilinear d=3 interpolant, and for the d=2 spline the larger of
+a padded 4096-direction scan and the exact maximum of its cubic pieces.
+Samples are held as one contiguous row per coordinate.  Each chunk's
+random numbers are drawn whole, in a fixed order, and then transformed
+in cache-sized blocks (normalization, angles, interpolant, acceptance,
+radii, pair kernel); the kernel's sums run over the whole chunk, so the
+block size moves no bit of an estimate.  Lattice predicates (rasters,
+annulus masks, half-plane cuts) are evaluated in row blocks the same
+way, and the relative isoperimetric corpus builds its clip disk and
+annulus masks once per annulus and shares them among its cuts.
 
 The checkers quantify inequalities the analysis relies on: the
 symmetric-difference Lipschitz bound |V(E) - V(F)| <= C |E delta F|
@@ -96,6 +105,9 @@ EDGE_FACTOR = 0.785533440
 # oracle contract allows
 MC_SAMPLES = 1_000_000
 _MC_CHUNK = 1 << 19
+# Samples per block of the Monte Carlo arithmetic: a chunk's random
+# numbers are drawn whole, then transformed block by block in cache
+_BLOCK = 1 << 14
 
 
 # ----------------------------------------------------------------------
@@ -144,14 +156,25 @@ def _snap(v: float, h: float) -> float:
     return math.floor(v / h) * h
 
 
+def _on_lattice(pred, x, y) -> np.ndarray:
+    """pred(x[:, None], y[None, :]) as a boolean (x.size, y.size) array,
+    evaluated on blocks of rows of about _BLOCK cells so that its
+    temporaries stay in cache; pred must act cell by cell."""
+    out = np.empty((x.size, y.size), dtype=bool)
+    step = max(_BLOCK // max(y.size, 1), 1)
+    for a in range(0, x.size, step):
+        out[a:a + step] = pred(x[a:a + step, None], y[None, :])
+    return out
+
+
 def raster_from_predicate(pred, bounds, h: float) -> RasterSet:
     """Raster of {x : pred(x)} over bounds ((xmin, xmax), (ymin, ymax)).
 
-    The lattice is snapped to multiples of h.  pred receives the cell
-    centers as broadcastable coordinates x[:, None] and y[None, :] and
-    returns a boolean array that broadcasts to (nx, ny); it builds the
-    star-shape rasters and the non-star test sets (half-planes, squares)
-    of the checkers.
+    The lattice is snapped to multiples of h.  pred receives a block of
+    rows of the cell centers as broadcastable coordinates x[:, None] and
+    y[None, :] and returns a boolean array that broadcasts to
+    (x.size, y.size), cell by cell; it builds the star-shape rasters and
+    the non-star test sets (half-planes, squares) of the checkers.
     """
     (xmin, xmax), (ymin, ymax) = bounds
     x0, y0 = _snap(xmin, h), _snap(ymin, h)
@@ -159,9 +182,7 @@ def raster_from_predicate(pred, bounds, h: float) -> RasterSet:
     ny = int(math.ceil((ymax - y0) / h))
     cx = x0 + (np.arange(nx) + 0.5) * h
     cy = y0 + (np.arange(ny) + 0.5) * h
-    mask = np.broadcast_to(np.asarray(pred(cx[:, None], cy[None, :]),
-                                      dtype=bool), (nx, ny))
-    return RasterSet(h=h, x0=x0, y0=y0, mask=mask)
+    return RasterSet(h=h, x0=x0, y0=y0, mask=_on_lattice(pred, cx, cy))
 
 
 def rasterize(obj, h: float) -> RasterSet:
@@ -203,21 +224,23 @@ def rasterize(obj, h: float) -> RasterSet:
     return rs
 
 
-def _edge_lattices(rs: RasterSet, i0: int, i1: int, j0: int, j1: int):
-    """Exposed edges of the sub-box mask[i0:i1, j0:j1], padded with empty
-    cells, as ((vertical, xe, cy), (horizontal, cx, ye)).
+def _exposed_edges(rs: RasterSet, i0: int, i1: int, j0: int, j1: int):
+    """(vertical, horizontal) exposed edges of the sub-box
+    mask[i0:i1, j0:j1], padded with empty cells: mask[:-1] ^ mask[1:]
+    along each axis."""
+    m = np.pad(rs.mask[i0:i1, j0:j1], 1, constant_values=False)
+    return m[:-1, 1:-1] ^ m[1:, 1:-1], m[1:-1, :-1] ^ m[1:-1, 1:]
 
-    Each lattice is mask[:-1] ^ mask[1:] along one axis; its edge
-    midpoints are (xe[k], cy[j]) for vertical edges at x0 + k h and
-    (cx[i], ye[k]) for horizontal edges at y0 + k h.
-    """
+
+def _edge_midpoints(rs: RasterSet, i0: int, i1: int, j0: int, j1: int):
+    """Midpoints of the sub-box's (vertical, horizontal) edge lattices as
+    coordinate vectors: (xe[k], cy[j]) for vertical edges at x0 + k h and
+    (cx[i], ye[k]) for horizontal edges at y0 + k h."""
     h = rs.h
     cx, cy = rs.cell_centers()
-    m = np.pad(rs.mask[i0:i1, j0:j1], 1, constant_values=False)
     xe = rs.x0 + np.arange(i0, i1 + 1) * h
     ye = rs.y0 + np.arange(j0, j1 + 1) * h
-    return ((m[:-1, 1:-1] ^ m[1:, 1:-1], xe, cy[j0:j1]),
-            (m[1:-1, :-1] ^ m[1:-1, 1:], cx[i0:i1], ye))
+    return (xe, cy[j0:j1]), (cx[i0:i1], ye)
 
 
 def raster_measures(rs: RasterSet, p: float):
@@ -227,8 +250,9 @@ def raster_measures(rs: RasterSet, p: float):
     sums with the frozen anisotropy factor.
     """
     dens = []
-    for exposed, ex, ey in _edge_lattices(rs, 0, rs.mask.shape[0],
-                                          0, rs.mask.shape[1]):
+    box = (0, rs.mask.shape[0], 0, rs.mask.shape[1])
+    for exposed, (ex, ey) in zip(_exposed_edges(rs, *box),
+                                 _edge_midpoints(rs, *box)):
         ii, jj = np.nonzero(exposed)
         dens.append(np.sqrt(ex[ii] ** 2 + ey[jj] ** 2) ** p)
     dens = np.concatenate(dens)
@@ -268,37 +292,65 @@ def symmetric_difference_area(a: RasterSet, b: RasterSet) -> float:
 # Samplers return draw(rng, m) -> (d, m) array, one contiguous row per
 # coordinate, together with the measure of the sampled set.
 
-def _shape_sampler(shape: StarShape):
-    g = shape.grid
-    d = g.d
-    if d == 2:
-        # the periodic cubic interpolant can overshoot the nodal maximum;
-        # any majorant keeps the rejection exact, so pad a dense scan
-        ang = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        r_max = float(radial_at_directions(
-            shape, np.stack([np.cos(ang), np.sin(ang)], axis=1)).max())
-        r_max *= 1.0 + 1e-5
-    else:
+def _spline_max(sp) -> float:
+    """Maximum of a piecewise cubic: each piece peaks at an end of its
+    interval or at a root of its derivative inside it."""
+    c, h = sp.c, np.diff(sp.x)
+    # derivative a s^2 + b s + q of piece k in s = x - x_k, with the
+    # cancellation-free pair of roots w / a and q / w
+    a, b, q = 3.0 * c[0], 2.0 * c[1], c[2]
+    disc = b * b - 4.0 * a * q
+    w = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.concatenate((w / a, q / w))
+    inside = (np.tile(disc, 2) >= 0.0) & (roots >= 0.0) \
+        & (roots <= np.tile(h, 2))
+    knots = sp.x[:-1]
+    cand = np.concatenate((sp.x, np.tile(knots, 2)[inside] + roots[inside]))
+    return float(sp(cand).max())
+
+
+def _envelope(shape: StarShape) -> float:
+    """Majorant r_max of the interpolated radial function, which keeps
+    the angular rejection exact."""
+    if shape.grid.d == 3:
         # bilinear interpolation never exceeds the nodal maximum
-        r_max = float(shape.radii.max())
+        return float(shape.radii.max())
+    # the periodic cubic interpolant can overshoot the nodal maximum; a
+    # padded dense scan covers smooth shapes, the exact piecewise maximum
+    # (with rounding room) covers modes the scan steps over
+    ang = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    scan = float(radial_at_directions(
+        shape, np.stack([np.cos(ang), np.sin(ang)], axis=1)).max())
+    return max(scan * (1.0 + 1e-5), _spline_max(shape.spline) * (1.0 + 1e-12))
+
+
+def _shape_sampler(shape: StarShape):
+    d = shape.grid.d
+    r_max = _envelope(shape)
 
     def draw(rng, m):
         out = np.empty((d, m))
         have = 0
         while have < m:
             k = max(m - have, 1024)
-            dirs = np.ascontiguousarray(rng.standard_normal((k, d)).T)
-            dirs /= np.sqrt(sum(row * row for row in dirs))
-            r_dir = radial_at_directions(shape, dirs.T)
-            # sector mass scales like r^d, hence the power in the
-            # acceptance test; the radial inverse CDF is s^(1/d) r
-            keep = rng.random(k) <= (r_dir / r_max) ** d
+            normals = rng.standard_normal((k, d))
+            accept = rng.random(k)
             s = rng.random(k)
-            idx = np.nonzero(keep)[0][:m - have]
-            rho = s[idx] ** (1.0 / d) * r_dir[idx]
-            for c, row, dst in zip(shape.center, dirs, out):
-                np.add(c, rho * row[idx], out=dst[have:have + idx.size])
-            have += idx.size
+            for a in range(0, k, _BLOCK):
+                if have == m:
+                    break
+                dirs = np.ascontiguousarray(normals[a:a + _BLOCK].T)
+                dirs /= np.sqrt(sum(row * row for row in dirs))
+                r_dir = radial_at_directions(shape, dirs.T)
+                # sector mass scales like r^d, hence the power in the
+                # acceptance test; the radial inverse CDF is s^(1/d) r
+                keep = accept[a:a + _BLOCK] <= (r_dir / r_max) ** d
+                idx = np.nonzero(keep)[0][:m - have]
+                rho = s[a + idx] ** (1.0 / d) * r_dir[idx]
+                for c, row, dst in zip(shape.center, dirs, out):
+                    np.add(c, rho * row[idx], out=dst[have:have + idx.size])
+                have += idx.size
         return out
 
     return draw, interpolated_volume(shape)
@@ -312,8 +364,13 @@ def _raster_sampler(rs: RasterSet):
         idx = rng.integers(ii.size, size=m)
         jitter = rng.random((m, 2))
         out = np.empty((2, m))
-        for k in range(2):
-            np.add(cells[k][idx], (jitter[:, k] - 0.5) * rs.h, out=out[k])
+        for a in range(0, m, _BLOCK):
+            blk = slice(a, a + _BLOCK)
+            jit = jitter[blk]
+            jit -= 0.5
+            jit *= rs.h
+            for k in range(2):
+                np.add(cells[k][idx[blk]], jit[:, k], out=out[k, blk])
         return out
 
     return draw, rs.volume
@@ -388,8 +445,12 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
         left -= m
         rng = np.random.default_rng(child)
         diff = draw_a(rng, m)
-        diff -= draw_b(rng, m)
-        k = sum(row * row for row in diff) ** (-0.5 * alpha)
+        pts_b = draw_b(rng, m)
+        k = np.empty(m)
+        for a in range(0, m, _BLOCK):
+            blk = diff[:, a:a + _BLOCK]
+            blk -= pts_b[:, a:a + _BLOCK]
+            k[a:a + _BLOCK] = sum(row * row for row in blk) ** (-0.5 * alpha)
         s1.append(float(k.sum()))
         s2.append(float((k * k).sum()))
     total1 = math.fsum(s1)
@@ -405,48 +466,82 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
 # inequality checkers
 # ----------------------------------------------------------------------
 
+class _Annulus:
+    """The lattice-only part of ``check_rel_isop`` on the annulus
+    A_{2^j, 2^(j+1)}, built once from a raster's lattice and shared by
+    every raster on it.
+
+    Only the sub-box of cells within r_out + h of the origin, plus one
+    margin cell, is read: every cell and edge outside it lies beyond
+    r_out.  ``cells`` marks the sub-box cells whose center lies in
+    [r_in, r_out); ``edges`` marks, on each edge lattice of the sub-box
+    (``_edge_midpoints``), the edges whose midpoint radius lies strictly
+    inside (r_in, r_out).
+    """
+
+    def __init__(self, rs: RasterSet, j: int):
+        r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
+        cx, cy = rs.cell_centers()
+        reach = r_out + 2.0 * rs.h
+        i0, i1 = np.searchsorted(cx, (-reach, reach))
+        j0, j1 = np.searchsorted(cy, (-reach, reach))
+        self.j = j
+        self.lattice = (rs.h, rs.x0, rs.y0, rs.mask.shape)
+        self.box = (i0, i1, j0, j1)
+
+        def cells(x, y):
+            rho2 = x ** 2 + y ** 2
+            return (rho2 >= r_in * r_in) & (rho2 < r_out * r_out)
+
+        def edges(x, y):
+            rr = np.sqrt(x ** 2 + y ** 2)
+            return (rr > r_in) & (rr < r_out)
+
+        self.cells = _on_lattice(cells, cx[i0:i1], cy[j0:j1])
+        self.edges = [_on_lattice(edges, ex, ey)
+                      for ex, ey in _edge_midpoints(rs, *self.box)]
+
+    def check(self, rs: RasterSet):
+        """``check_rel_isop(rs, j)`` for a raster on this lattice."""
+        if (rs.h, rs.x0, rs.y0, rs.mask.shape) != self.lattice:
+            raise ValidationError("raster is not on the annulus's lattice")
+        j, h = self.j, rs.h
+        r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
+        i0, i1, j0, j1 = self.box
+        sub = rs.mask[i0:i1, j0:j1]
+        inter = int(np.count_nonzero(sub & self.cells)) * h ** 2
+        area = math.pi * (r_out ** 2 - r_in ** 2)
+        minus = max(area - inter, 0.0)
+        lhs = min(inter, minus) ** 0.5
+        edges = 0
+        for exposed, near in zip(_exposed_edges(rs, *self.box), self.edges):
+            edges += int(np.count_nonzero(exposed & near))
+        per = EDGE_FACTOR * h * edges
+        if per == 0.0:
+            # cell-center counting resolves the relative volumes only to
+            # the area of one boundary layer of cells; below that, a
+            # vanishing relative perimeter means containment, not an
+            # artifact
+            noise = 16.0 * h * r_out
+            if min(inter, minus) > noise:
+                raise DegenerateAnnulusError(
+                    f"no relative perimeter in annulus j={j} despite proper "
+                    f"intersection ({inter:.3e} of {area:.3e})")
+            return lhs, per, 0.0
+        ratio = 0.0 if lhs == 0.0 else lhs / per
+        return lhs, per, ratio
+
+
 def check_rel_isop(rs: RasterSet, j: int):
     """Relative isoperimetric quantities on the annulus A_{2^j, 2^(j+1)}.
 
     Returns (lhs, per, ratio) with lhs = min(|Omega cap A|,
     |A minus Omega|)^((d-1)/d), per = P(Omega; int A) and ratio = lhs / per
-    (zero when lhs is zero).  Only the sub-box of cells within r_out + h
-    of the origin, plus one margin cell, is read: every cell and edge
-    outside it lies beyond r_out.  The exposed edges are those that
-    raster_measures counts (``_edge_lattices``), and an edge counts when
-    its midpoint radius lies strictly inside (r_in, r_out).
+    (zero when lhs is zero).  The exposed edges are those that
+    raster_measures counts, and an edge counts when its midpoint radius
+    lies strictly inside (r_in, r_out); see ``_Annulus``.
     """
-    r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
-    h = rs.h
-    cx, cy = rs.cell_centers()
-    reach = r_out + 2.0 * h
-    i0, i1 = np.searchsorted(cx, (-reach, reach))
-    j0, j1 = np.searchsorted(cy, (-reach, reach))
-    cx, cy = cx[i0:i1], cy[j0:j1]
-    sub = rs.mask[i0:i1, j0:j1]
-    rho2 = cx[:, None] ** 2 + cy[None, :] ** 2
-    in_annulus = (rho2 >= r_in * r_in) & (rho2 < r_out * r_out)
-    inter = int(np.count_nonzero(sub & in_annulus)) * h ** 2
-    area = math.pi * (r_out ** 2 - r_in ** 2)
-    minus = max(area - inter, 0.0)
-    lhs = min(inter, minus) ** 0.5
-    edges = 0
-    for exposed, ex, ey in _edge_lattices(rs, i0, i1, j0, j1):
-        rr = np.sqrt(ex[:, None] ** 2 + ey[None, :] ** 2)
-        edges += int(np.count_nonzero(exposed & (rr > r_in) & (rr < r_out)))
-    per = EDGE_FACTOR * h * edges
-    if per == 0.0:
-        # cell-center counting resolves the relative volumes only to the
-        # area of one boundary layer of cells; below that, a vanishing
-        # relative perimeter means containment, not an artifact
-        noise = 16.0 * rs.h * r_out
-        if min(inter, minus) > noise:
-            raise DegenerateAnnulusError(
-                f"no relative perimeter in annulus j={j} despite proper "
-                f"intersection ({inter:.3e} of {area:.3e})")
-        return lhs, per, 0.0
-    ratio = 0.0 if lhs == 0.0 else lhs / per
-    return lhs, per, ratio
+    return _Annulus(rs, j).check(rs)
 
 
 def check_v_lipschitz(set_e: RasterSet, set_f: RasterSet, alpha: float,
@@ -660,15 +755,27 @@ def run_v_lipschitz(seed: int = 0, trials: int = 100) -> dict:
                     "seed": seed})
 
 
-def _halfplane_raster(angle: float, offset: float, r_out: float, h: float):
-    c, s = math.cos(angle), math.sin(angle)
-
-    def pred(x, y):
-        return (x * c + y * s <= offset) & (np.sqrt(x * x + y * y)
-                                            <= 1.5 * r_out)
-
+def _clip_disk(r_out: float, h: float) -> RasterSet:
+    """Raster of the disk |x| <= 1.5 r_out that clips the half-plane
+    cuts on annulus r_out; its lattice is theirs."""
     b = 1.5 * r_out + 2 * h
-    return raster_from_predicate(pred, ((-b, b), (-b, b)), h)
+    return raster_from_predicate(
+        lambda x, y: np.sqrt(x * x + y * y) <= 1.5 * r_out,
+        ((-b, b), (-b, b)), h)
+
+
+def _halfplane_raster(angle: float, offset: float, r_out: float, h: float,
+                      disk: RasterSet | None = None) -> RasterSet:
+    """Raster of the half-plane x cos(angle) + y sin(angle) <= offset
+    clipped to the disk ``_clip_disk(r_out, h)``, on the disk's lattice.
+    A caller that makes many cuts builds the disk once and passes it."""
+    if disk is None:
+        disk = _clip_disk(r_out, h)
+    c, s = math.cos(angle), math.sin(angle)
+    mask = _on_lattice(lambda x, y: x * c + y * s <= offset,
+                       *disk.cell_centers())
+    mask &= disk.mask
+    return RasterSet(h=disk.h, x0=disk.x0, y0=disk.y0, mask=mask)
 
 
 def run_rel_isop(seed: int = 0, blobs: int = 50) -> dict:
@@ -686,17 +793,17 @@ def run_rel_isop(seed: int = 0, blobs: int = 50) -> dict:
     for j in range(4):
         r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
         h = r_in / 192
-        ratios = []
-        lhs, per, ratio = check_rel_isop(_halfplane_raster(0.0, 0.0, r_out, h), j)
-        ratios.append(ratio)
-        trials += 1
+        # the seven half-plane cuts share one lattice, hence one clip
+        # disk and one set of annulus masks
+        disk = _clip_disk(r_out, h)
+        annulus = _Annulus(disk, j)
+        cuts = [(0.0, 0.0)]
         for _ in range(6):
-            ang = rng.uniform(0, 2 * math.pi)
-            off = rng.uniform(-0.5, 0.5) * r_in
-            _, _, ratio = check_rel_isop(
-                _halfplane_raster(ang, off, r_out, h), j)
-            ratios.append(ratio)
-            trials += 1
+            cuts.append((rng.uniform(0, 2 * math.pi),
+                         rng.uniform(-0.5, 0.5) * r_in))
+        ratios = [annulus.check(_halfplane_raster(ang, off, r_out, h, disk))[2]
+                  for ang, off in cuts]
+        trials += len(cuts)
         for _ in range(blobs):
             shape = random_star(rng, n=64, d=2, amp=0.25, kmax=5,
                                 center_scale=0.3, normalize=False)

@@ -183,8 +183,9 @@ def test_deficit_report_and_csv():
                           gamma=1.0)
     assert len(rows) == 2
     for row in rows:
-        assert set(row) == {"mode_k", "eps", "R", "p", "alpha",
+        assert set(row) == {"mode_k", "eps", "R", "p", "alpha", "gamma",
                             "per_deficit", "riesz_deficit", "h1_sq", "ratio"}
+        assert row["gamma"] == 1.0
         assert row["per_deficit"] > 0.0
     csv = report_to_csv(rows)
     lines = csv.splitlines()

@@ -311,6 +311,13 @@ def test_tangent_frame_is_built_once_and_read_only(d, n):
     else:
         assert E is None
         assert np.array_equal(coarse.nodes, g.nodes[::2])
+    if d == 3:
+        cells = g.polar_cells
+        assert g.polar_cells is cells
+        for a in (cells[0], cells[1], cells[3]):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 def test_coarse_level_d2_even_is_the_uniform_half_grid():
@@ -345,6 +352,15 @@ def test_shape_slopes_are_the_grid_components_cached(d, n):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+    else:
+        wrapped = shape.wrapped_radii
+        assert shape.wrapped_radii is wrapped
+        rows = wrapped.reshape(shape.grid.polar.size, -1)
+        assert np.array_equal(rows[:, :-2].ravel(), shape.radii)
+        assert np.array_equal(rows[:, -2:], rows[:, :2])
+        assert not wrapped.flags.writeable
+        with pytest.raises(ValueError):
+            wrapped[0] = 0.0
 
 
 @pytest.mark.parametrize("d,n", [(2, 64), (3, 12)])
@@ -368,3 +384,59 @@ def test_radial_at_directions_wraps_the_azimuth_like_np_mod(d, n):
             want = _bilinear(shape, np.arccos(np.clip(dirs[:, 2], -1.0, 1.0)),
                              wrapped)
         assert np.array_equal(radial_at_directions(shape, dirs), want)
+
+
+def _bilinear_reference(shape, phi, psi):
+    """The bilinear interpolant by searchsorted, % na and four gathers."""
+    g = shape.grid
+    pol, na = g.polar, g.azimuth.size
+    i = np.clip(np.searchsorted(pol, phi) - 1, 0, pol.size - 2)
+    t = np.clip((phi - pol[i]) / (pol[i + 1] - pol[i]), 0.0, 1.0)
+    u = psi / (2.0 * math.pi / na)
+    j = np.floor(u)
+    u -= j
+    j = j.astype(int) % na
+    jp = (j + 1) % na
+    R = shape.radii
+    r00, r01 = R[i * na + j], R[i * na + jp]
+    r10, r11 = R[(i + 1) * na + j], R[(i + 1) * na + jp]
+    return (1 - t) * ((1 - u) * r00 + u * r01) + t * ((1 - u) * r10 + u * r11)
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 16, 24])
+def test_bilinear_tables_match_the_searchsorted_formula(n):
+    rng = np.random.default_rng(n)
+    shape = random_star(rng, n=n, d=3, amp=0.2)
+    g = shape.grid
+    pol, az = g.polar, g.azimuth
+    # random directions; both poles and every polar node, with their
+    # neighbouring floats; phi beyond the extreme rows
+    phi = np.concatenate([
+        rng.uniform(0.0, math.pi, 4000), [0.0, math.pi], pol,
+        np.nextafter(pol, 0.0), np.nextafter(pol, 4.0),
+        rng.uniform(0.0, pol[0], 50), rng.uniform(pol[-1], math.pi, 50)])
+    for psi in (rng.uniform(0.0, 2.0 * math.pi, phi.size),
+                np.resize(np.concatenate([az, [0.0, 2.0 * math.pi]]),
+                          phi.size)):
+        assert np.array_equal(_bilinear(shape, phi, psi),
+                              _bilinear_reference(shape, phi, psi))
+    # every node azimuth at every polar node, and the 2 pi seam
+    P, A = np.meshgrid(pol, np.append(az, 2.0 * math.pi), indexing="ij")
+    got = _bilinear(shape, P.ravel(), A.ravel())
+    assert np.array_equal(got,
+                          _bilinear_reference(shape, P.ravel(), A.ravel()))
+    # node azimuths divided by the azimuth step round near, not onto, j
+    assert np.allclose(got.reshape(P.shape)[:, :-1].ravel(), shape.radii,
+                       rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_at_directions_rejects_non_finite_directions(d):
+    shape = random_star(np.random.default_rng(d), n=12, d=d)
+    for bad in (math.nan, math.inf):
+        dirs = np.eye(d)
+        dirs[1, 0] = bad
+        with pytest.raises(ValidationError):
+            radial_at_directions(shape, dirs)
+        with pytest.raises(ValidationError):
+            membership(shape, dirs)

@@ -13,7 +13,14 @@ from isoshape.errors import (
     ResolutionError,
     ValidationError,
 )
-from isoshape.geometry import Configuration, dilate, make_ball, make_grid
+from isoshape.geometry import (
+    Configuration,
+    StarShape,
+    dilate,
+    make_ball,
+    make_grid,
+    radial_at_directions,
+)
 from isoshape.oracle import (
     EDGE_FACTOR,
     RasterSet,
@@ -166,6 +173,24 @@ def test_mc_riesz_frozen_stream():
         assert got == MC_FROZEN[name], name
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_shape_sampler_envelope_bounds_the_spline(n):
+    # r = 1 + 0.2 cos(k theta + 0.3) with k = n/4 peaks between the
+    # 4096 scan directions; the angular rejection is exact only under a
+    # true majorant of the spline
+    g = make_grid(2, n)
+    wavy = StarShape(grid=g, center=np.zeros(2),
+                     radii=1.0 + 0.2 * np.cos(n // 4 * g.theta + 0.3))
+    dense = wavy.spline(np.linspace(0.0, 2.0 * math.pi, 2_000_001))
+    assert OR._envelope(wavy) >= dense.max()
+    # a shape the padded scan already covers keeps the scan's value
+    star = random_star(np.random.default_rng(n), n=n, d=2, amp=0.1, kmax=3)
+    ang = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    scan = float(radial_at_directions(
+        star, np.stack([np.cos(ang), np.sin(ang)], axis=1)).max())
+    assert OR._envelope(star) == scan * (1.0 + 1e-5)
+
+
 def test_mc_riesz_ball_d3_exact():
     # V(B_1) = 32 pi^2 / 15 in d=3 at alpha=1; 2 alpha < d, so the
     # sample standard error is trustworthy and 3 sigma is a real gate
@@ -293,6 +318,30 @@ def test_rel_isop_matches_midpoint_enumeration():
         assert check_rel_isop(rs, j) == _rel_isop_reference(rs, j)
         n += 1
     assert n == 31
+
+
+def test_rel_isop_shared_annulus_matches_fresh_masks():
+    # run_rel_isop's seven cuts per annulus, checked on one shared clip
+    # disk and annulus and on masks built afresh for every cut
+    rng = np.random.default_rng(0)
+    for j in range(4):
+        r_in, r_out = 2.0 ** j, 2.0 ** (j + 1)
+        h = r_in / 192
+        disk = OR._clip_disk(r_out, h)
+        annulus = OR._Annulus(disk, j)
+        cuts = [(0.0, 0.0)] + [(rng.uniform(0, 2 * math.pi),
+                                rng.uniform(-0.5, 0.5) * r_in)
+                               for _ in range(6)]
+        for ang, off in cuts:
+            fresh = OR._halfplane_raster(ang, off, r_out, h)
+            shared = OR._halfplane_raster(ang, off, r_out, h, disk)
+            assert np.array_equal(shared.mask, fresh.mask)
+            assert (shared.h, shared.x0, shared.y0) \
+                == (fresh.h, fresh.x0, fresh.y0)
+            assert annulus.check(shared) == check_rel_isop(fresh, j)
+        other = OR._halfplane_raster(0.0, 0.0, r_out, h / 2)
+        with pytest.raises(ValidationError):
+            annulus.check(other)
 
 
 def test_raster_measures_matches_midpoint_enumeration():
