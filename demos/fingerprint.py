@@ -43,7 +43,12 @@ One line per fingerprint:
   directions of a 4096-point scan; interpolated_volume and mc_riesz on
   d=3 random stars at n in {8, 16, 24}; the sha256 of a rasterized mask,
   its raster_measures and mc_riesz on it; and the reports of the oracle
-  corpora, run_rel_isop with and without star blobs.
+  corpora, run_rel_isop with and without star blobs;
+- the sha256 of rasterize masks of stars drawn as run_raster_agreement
+  and run_rel_isop draw them, at their pixel sizes, and of a
+  two-component configuration;
+- lattice_riesz (value, bar) of a unit-area disk raster at alpha in
+  {0.5, 1, 1.5}, or a note that the tree has no lattice_riesz.
 
 Floats are printed as repr(float(x)), so a value that changes only its
 numpy scalar type prints the same.  Takes 10-15 s on 2 CPUs.
@@ -58,6 +63,7 @@ import tempfile
 
 import numpy as np
 
+import isoshape.oracle as oracle_module
 from isoshape.cli import sweep_svg
 
 from isoshape.energy import interaction, potential, riesz_self
@@ -75,6 +81,7 @@ from isoshape.geometry import (
     Configuration,
     EnergyParams,
     StarShape,
+    dilate,
     interpolated_volume,
     load_configuration,
     make_ball,
@@ -251,9 +258,42 @@ def oracles():
         print(f"{name} {json.dumps(run(**kw), sort_keys=True)}")
 
 
+def rasters():
+    rng = np.random.default_rng(0)
+    shas = [sha(rasterize(random_star(rng, n=96, d=2, amp=0.08, kmax=3),
+                          1.0 / 512).mask) for _ in range(4)]
+    print(f"rasterize raster_agreement stars h=1/512: {' '.join(shas)}")
+    rng = np.random.default_rng(1)
+    for j in (0, 2):
+        r_in = 2.0 ** j
+        shas = []
+        for _ in range(3):
+            star = random_star(rng, n=64, d=2, amp=0.25, kmax=5,
+                               center_scale=0.3, normalize=False)
+            star = dilate(star, rng.uniform(1.0, 2.4) * r_in
+                          / float(star.radii.mean()))
+            shas.append(sha(rasterize(star, r_in / 192).mask))
+        print(f"rasterize rel_isop blobs j={j}: {' '.join(shas)}")
+    g = make_grid(2, 64)
+    pair = Configuration((random_star(rng, n=64, d=2, amp=0.25),
+                          make_ball(0.4, np.array([3.0, 0.5]), g)))
+    print(f"rasterize two components h=1/256: "
+          f"{sha(rasterize(pair, 1.0 / 256).mask)}")
+    lattice = getattr(oracle_module, "lattice_riesz", None)
+    disk = rasterize(make_ball(np.pi ** -0.5, np.zeros(2), make_grid(2, 128)),
+                     1.0 / 256)
+    for alpha in (0.5, 1.0, 1.5):
+        if lattice is None:
+            print(f"lattice_riesz disk h=1/256 alpha={alpha:g}: not in this tree")
+            continue
+        value, bar = lattice(disk, alpha)
+        print(f"lattice_riesz disk h=1/256 alpha={alpha:g}: {f(value)} {f(bar)}")
+
+
 if __name__ == "__main__":
     descents()
     tables()
     riesz_values()
     fuglede_values()
     oracles()
+    rasters()

@@ -69,6 +69,7 @@ from .oracle import (
     check_en_lower_bound,
     check_rel_isop,
     check_v_lipschitz,
+    lattice_riesz,
     mc_riesz,
     raster_measures,
     rasterize,

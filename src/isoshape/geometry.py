@@ -27,9 +27,9 @@ What depends only on the grid or only on the shape is a cached
 property of that object, computed once and read-only: a grid's
 ``tangent_frame``, ``coarse`` level of the Riesz error bar and d=3
 ``polar_cells`` table, a shape's radial ``slopes``, its d=2 ``spline``
-interpolant and its d=3 ``wrapped_radii``.  Every perimeter,
-boundary-node and resolvability evaluation of one shape reads the same
-slopes.
+interpolant with its ``spline_table`` and its d=3 ``wrapped_radii``.
+Every perimeter, boundary-node and resolvability evaluation of one
+shape reads the same slopes.
 
 A StarShape also has a continuous interpretation used by the raster and
 Monte Carlo oracles: the radial samples are interpolated (periodic
@@ -40,7 +40,12 @@ polar angle, with at most one node per bucket, gives the polar interval
 with one comparison, and the radii padded with two wrap-around azimuth
 columns give all four corners from one flat index, without a modulo.
 It computes the same bits as a binary search with a periodic wrap.
-The quadrature path never touches the interpolant.
+The d=2 spline is evaluated the same way, from a shape's
+``spline_table``: a bucket estimate of the piece, corrected by one
+comparison on each side, and the piece summed in scipy's order, so
+``_cubic`` gives the bits of ``CubicSpline.__call__`` without its
+binary search per point.  The quadrature path never touches the
+interpolant.
 
 Every radial sample is at least the floor R_MIN: shapes below it are
 rejected, and the optimizer clamps its trial radii to it.
@@ -374,6 +379,25 @@ class StarShape:
             a.setflags(write=False)
         return sp
 
+    @cached_property
+    def spline_table(self) -> tuple:
+        """(scale, knots, (c0, c1, c2, c3)): the d=2 ``spline`` as the
+        table that ``_cubic`` reads, built once per shape and read-only.
+
+        knots are the n + 1 spline knots followed by +inf, and each
+        coefficient row holds the spline's n pieces followed by piece 0
+        again as piece n, so that the knot 2 pi starts a piece equal to
+        piece 0 at s = 0, as the spline's periodic wrap has it.  The
+        bucket int(a * scale), scale = n / (2 pi), is the piece of a up
+        to one knot on either side.
+        """
+        sp = self.spline
+        knots = np.append(sp.x, math.inf)
+        rows = tuple(np.append(c, c[0]) for c in sp.c)
+        for a in (knots, *rows):
+            a.setflags(write=False)
+        return (sp.x.size - 1) / (2.0 * math.pi), knots, rows
+
 
 def make_ball(R: float, center, grid: SphereGrid) -> StarShape:
     if not R >= R_MIN:
@@ -470,9 +494,35 @@ def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
     ang = np.arctan2(dirs[:, 1], dirs[:, 0])
     ang += (ang < 0) * (2.0 * math.pi)
     if g.d == 2:
-        return shape.spline(ang)
+        return _cubic(shape, ang)
     phi = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
     return _bilinear(shape, phi, ang)
+
+
+def _cubic(shape: StarShape, a):
+    """The d=2 periodic spline at angles a in [0, 2 pi], bit for bit
+    ``shape.spline(a)``.
+
+    The piece comes from the shape's ``spline_table``: the bucket
+    estimate, corrected by one comparison on each side, is the piece
+    k with knot_k <= a < knot_(k+1) that the spline's search finds, and
+    the knot 2 pi falls in the extra piece n.  The piece is summed in
+    the spline's order, c3 + c2 s + c1 s^2 + c0 s^3 with the powers of
+    s built by repeated multiplication.  Inputs that can leave
+    [0, 2 pi] take np.mod(a, 2 pi) first, as the spline does.
+    """
+    scale, knots, (c0, c1, c2, c3) = shape.spline_table
+    k = (a * scale).astype(np.intp)
+    k -= a < knots[k]
+    k += a >= knots[1:][k]
+    s = a - knots[k]
+    out = c2[k] * s
+    out += c3[k]
+    z = s * s
+    out += c1[k] * z
+    z *= s
+    out += c0[k] * z
+    return out
 
 
 def _bilinear(shape: StarShape, phi, psi):
@@ -543,13 +593,12 @@ def interpolated_volume(shape: StarShape) -> float:
     """Measure of the interpreted set (1/d) int r_interp^d, to near machine precision."""
     g = shape.grid
     if g.d == 2:
-        sp = shape.spline
         th = np.append(g.theta, 2.0 * math.pi)
         xg, wg = np.polynomial.legendre.leggauss(4)   # exact for the cubic squared
         a, b = th[:-1], th[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         pts = mid[:, None] + half[:, None] * xg[None, :]
-        vals = sp(pts.ravel()).reshape(pts.shape) ** 2
+        vals = _cubic(shape, pts.ravel()).reshape(pts.shape) ** 2
         return 0.5 * float(np.sum(vals @ wg * half))
     # d=3: tensor Gauss per lat-long cell on the bilinear interpolant, plus
     # the constant-radius polar caps left by clamping.
@@ -587,6 +636,8 @@ def ray_radius(shape: StarShape) -> np.ndarray:
     """Distance from the origin to the boundary along the grid nodes.
 
     Bisection on the membership test; requires the origin to lie inside.
+    It stops at 64 steps or once a step changes neither bracket: from
+    there on every step would repeat it.
     """
     g = shape.grid
     if not membership(shape, np.zeros((1, g.d)))[0]:
@@ -596,8 +647,11 @@ def ray_radius(shape: StarShape) -> np.ndarray:
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         inside = membership(shape, mid[:, None] * g.nodes)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        new_lo = np.where(inside, mid, lo)
+        new_hi = np.where(inside, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 

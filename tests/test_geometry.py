@@ -12,6 +12,7 @@ from isoshape.geometry import (
     Configuration,
     StarShape,
     _bilinear,
+    _cubic,
     _periodic_d1,
     config_membership,
     dilate,
@@ -20,6 +21,7 @@ from isoshape.geometry import (
     make_grid,
     membership,
     radial_at_directions,
+    ray_radius,
     save_configuration,
     sphere_area,
     tangential_gradient,
@@ -440,3 +442,52 @@ def test_radial_at_directions_rejects_non_finite_directions(d):
             radial_at_directions(shape, dirs)
         with pytest.raises(ValidationError):
             membership(shape, dirs)
+
+
+@pytest.mark.parametrize("n", [8, 9, 20, 64, 96, 128])
+def test_cubic_kernel_matches_the_spline_bit_for_bit(n):
+    # scipy's CubicSpline.__call__ is the reference: random angles,
+    # every knot with its neighbouring floats, 0 and 2 pi, the extrema
+    # of every piece, and angles just past 2 pi, which callers wrap with
+    # np.mod as the spline does
+    rng = np.random.default_rng(n)
+    for amp in (0.08, 0.25):
+        shape = random_star(rng, n=n, d=2, amp=amp, kmax=5)
+        sp = shape.spline
+        x = sp.x
+        extrema = sp.derivative().roots(extrapolate=False)
+        ext = np.append(extrema, x[-1] + np.array([4.4e-16, 1e-15, 1e-12]))
+        a = np.concatenate([
+            rng.uniform(0.0, 2.0 * math.pi, 1 << 14), x,
+            np.nextafter(x[1:], 0.0), np.nextafter(x[:-1], 7.0),
+            [0.0, 2.0 * math.pi], np.mod(ext, 2.0 * math.pi)])
+        assert np.array_equal(_cubic(shape, a), sp(a))
+        assert np.array_equal(_cubic(shape, np.mod(ext, 2.0 * math.pi)),
+                              sp(ext))
+    _, knots, rows = shape.spline_table
+    assert shape.spline_table[1] is knots
+    for arr in (knots, *rows):
+        assert not arr.flags.writeable
+
+
+def _ray_radius_64_steps(shape):
+    """The ray cast with all 64 bisection steps."""
+    g = shape.grid
+    lo = np.zeros(g.n_nodes)
+    hi = np.full(g.n_nodes, float(np.linalg.norm(shape.center))
+                 + shape.max_radius * (1.0 + 1e-9))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        inside = membership(shape, mid[:, None] * g.nodes)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 64), (3, 12), (3, 20)])
+def test_ray_radius_stops_at_its_fixed_point(d, n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        shape = random_star(rng, n=n, d=d, amp=0.2, center_scale=0.3)
+        assert np.linalg.norm(shape.center) > 0.0
+        assert np.array_equal(ray_radius(shape), _ray_radius_64_steps(shape))

@@ -3,7 +3,9 @@
 A module-level function, class or assigned name in src/isoshape/ must be
 referenced somewhere in src/ outside its own definition: as a name, as
 an attribute, or by an import (the package __init__ re-exports the
-public API).  Dunder names are exempt.
+public API).  Dunder names are exempt.  A name that a module of the
+package other than __init__ imports at module level must be used in that
+module; __future__ imports are exempt.
 """
 
 import ast
@@ -53,3 +55,27 @@ def test_every_module_level_name_is_referenced():
             if everywhere[name] - _references(node)[name] <= 0:
                 unreferenced.append(f"{path.stem}.{name}")
     assert unreferenced == [], f"module-level names without a caller: {unreferenced}"
+
+
+def _imported(tree):
+    """(bound name, import node) for each module-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = Counter(sub.id for sub in ast.walk(tree)
+                       if isinstance(sub, ast.Name))
+        for name, _ in _imported(tree):
+            if used[name] == 0:
+                unused.append(f"{path.stem}: {name}")
+    assert unused == [], f"imported but never used: {unused}"

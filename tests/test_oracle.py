@@ -1,6 +1,9 @@
 """Independent verification paths: rasters, Monte Carlo, checkers."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from isoshape.errors import (
 from isoshape.geometry import (
     Configuration,
     StarShape,
+    config_membership,
     dilate,
     make_ball,
     make_grid,
@@ -27,6 +31,7 @@ from isoshape.oracle import (
     check_en_lower_bound,
     check_rel_isop,
     check_v_lipschitz,
+    lattice_riesz,
     mc_riesz,
     raster_from_predicate,
     raster_measures,
@@ -449,3 +454,161 @@ def test_checker_suites_single_trials():
     rep = run_en_lower_bound()
     assert rep["violations"] == 0
     assert rep["worst_margin"] > 0.0
+
+
+def _plain_mask(obj, rs):
+    """The mask of ``rs``'s lattice by the membership test on every cell."""
+    if isinstance(obj, StarShape):
+        obj = Configuration((obj,))
+    cx, cy = rs.cell_centers()
+    pts = np.stack(np.broadcast_arrays(cx[:, None], cy[None, :]), axis=-1)
+    return config_membership(obj, pts.reshape(-1, 2)).reshape(rs.mask.shape)
+
+
+@pytest.mark.parametrize("n", [20, 64, 128])
+def test_spline_range_brackets_the_spline(n):
+    # the rasterize shortcut is exact only if no spline value lies
+    # outside (r_min (1 - 1e-12), r_max (1 + 1e-12))
+    rng = np.random.default_rng(n)
+    dense = np.linspace(0.0, 2.0 * math.pi, 400_001)
+    for amp in (0.08, 0.25):
+        star = random_star(rng, n=n, d=2, amp=amp, kmax=5)
+        r_min, r_max = OR._spline_range(star)
+        vals = star.spline(dense)
+        assert r_min * (1.0 - 1e-12) <= vals.min() <= r_min + 1e-9
+        assert r_max * (1.0 + 1e-12) >= vals.max() >= r_max - 1e-9
+
+
+@pytest.mark.parametrize("amp", [0.08, 0.25])
+@pytest.mark.parametrize("h", [1.0 / 128, 1.0 / 512])
+def test_rasterize_shortcut_matches_the_membership_test(amp, h):
+    rng = np.random.default_rng(int(amp * 100))
+    for _ in range(2):
+        star = random_star(rng, n=64, d=2, amp=amp, kmax=5)
+        rs = rasterize(star, h)
+        assert np.array_equal(rs.mask, _plain_mask(star, rs))
+
+
+def test_rasterize_shortcut_matches_the_membership_test_on_two_components():
+    rng = np.random.default_rng(4)
+    a = dilate(random_star(rng, n=64, d=2, amp=0.25, kmax=5), 0.5)
+    b = StarShape(grid=a.grid, center=a.center + np.array([1.2, 0.3]),
+                  radii=a.radii[::-1] * 0.8)
+    pair = Configuration((a, b))
+    for h in (1.0 / 128, 1.0 / 512):
+        rs = rasterize(pair, h)
+        assert np.array_equal(rs.mask, _plain_mask(pair, rs))
+
+
+def test_kappa_closed_form_at_lag_zero():
+    # mean of |x - y|^(-1) over the unit square, squared cell area 1
+    exact = 4.0 / 3.0 * (1.0 - math.sqrt(2.0)) \
+        + 4.0 * math.log(1.0 + math.sqrt(2.0))
+    assert abs(OR._kappa(0, 0, 1.0) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_kappa_has_the_lattice_symmetries(alpha):
+    # the signed triangle sums cancel to about |D|^3 ulp of kappa(D)
+    for d1, d2 in ((0, 0), (1, 0), (1, 1), (3, -2), (7, 4), (16, 9)):
+        images = [(d1, d2), (-d1, d2), (d1, -d2), (-d1, -d2),
+                  (d2, d1), (-d2, d1), (d2, -d1), (-d2, -d1)]
+        vals = np.array([OR._kappa(a, b, alpha) for a, b in images])
+        assert np.ptp(vals) <= 1e-11 * vals[0], (d1, d2)
+
+
+def _direct_lattice_sum(mask, h, alpha, lags):
+    """V by the double loop over occupied cell pairs: kappa from
+    ``_kappa_table`` up to |D|_inf = lags, the far field beyond."""
+    ii, jj = np.nonzero(mask)
+    d1 = np.abs(ii[:, None] - ii[None, :])
+    d2 = np.abs(jj[:, None] - jj[None, :])
+    r2 = (d1 ** 2 + d2 ** 2).astype(float)
+    r2[r2 == 0.0] = 1.0
+    kap = r2 ** (-0.5 * alpha) * (1.0 + alpha ** 2 / (12.0 * r2))
+    near = np.maximum(d1, d2) <= lags
+    kap[near] = OR._kappa_table(alpha)[d1[near], d2[near]]
+    return h ** (4.0 - alpha) * math.fsum(kap.ravel())
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_lattice_riesz_matches_the_direct_pair_sum(alpha):
+    mask = np.random.default_rng(20).random((20, 20)) < 0.5
+    rs = RasterSet(h=0.05, x0=-0.5, y0=-0.5, mask=mask)
+    # the FFT's lag counts are the exact pair counts
+    ii, jj = np.nonzero(mask)
+    counts = np.zeros(mask.shape)
+    np.add.at(counts, (np.abs(ii[:, None] - ii[None, :]),
+                       np.abs(jj[:, None] - jj[None, :])), 1.0)
+    assert np.array_equal(OR._lag_counts(mask), counts)
+    value, bar = lattice_riesz(rs, alpha)
+    v_wide = _direct_lattice_sum(mask, rs.h, alpha, 2 * OR._LAGS)
+    v_narrow = _direct_lattice_sum(mask, rs.h, alpha, OR._LAGS)
+    assert abs(value - v_wide) <= 1e-12 * v_wide
+    assert abs(bar - abs(v_wide - v_narrow)) <= 1e-12 * v_wide
+    assert bar > 0.0
+
+
+def _subdivided(rs, k):
+    """The same set on the lattice of pixel size h / k."""
+    return RasterSet(h=rs.h / k, x0=rs.x0, y0=rs.y0,
+                     mask=np.repeat(np.repeat(rs.mask, k, 0), k, 1))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_lattice_riesz_bar_covers_the_subdivided_lattice(alpha):
+    disk = make_ball(math.pi ** -0.5, np.zeros(2), make_grid(2, 128))
+    star = random_star(np.random.default_rng(3), n=64, d=2, amp=0.25)
+    for shape in (disk, star):
+        rs = rasterize(shape, 1.0 / 64)
+        value, bar = lattice_riesz(rs, alpha)
+        fine, _ = lattice_riesz(_subdivided(rs, 4), alpha)
+        assert abs(value - fine) <= bar
+        assert bar <= 1e-5 * value
+
+
+def test_lattice_riesz_agrees_with_monte_carlo():
+    # at alpha = 0.5 < d/2 the MC standard error is a valid bar
+    rs = rasterize(random_star(np.random.default_rng(8), n=64, d=2,
+                               amp=0.2), 1.0 / 128)
+    value, bar = lattice_riesz(rs, 0.5)
+    est, se = mc_riesz(rs, None, 0.5, 1_000_000, 12)
+    assert abs(value - est) <= 3.0 * se + bar
+
+
+@pytest.mark.parametrize("h", [1.0 / 128, 1.0 / 256, 1.0 / 512])
+def test_lattice_riesz_unit_area_disk(h):
+    # V of the unit-area disk at alpha = 1 is 16 / (3 sqrt(pi)); the
+    # raster's own area error is O(h)
+    rs = rasterize(make_ball(math.pi ** -0.5, np.zeros(2), make_grid(2, 128)),
+                   h)
+    value, bar = lattice_riesz(rs, 1.0)
+    assert abs(value - 16.0 / (3.0 * math.sqrt(math.pi))) <= 2e-3
+    assert 0.0 < bar <= 1e-6
+
+
+def test_lattice_riesz_guards_alpha():
+    rs = _square_raster()
+    for alpha in (0.0, 2.0, -1.0, math.nan):
+        with pytest.raises(ValidationError):
+            lattice_riesz(rs, alpha)
+
+
+def test_lattice_riesz_does_not_depend_on_the_blas_threads():
+    code = ("import numpy as np; from isoshape.oracle import lattice_riesz, "
+            "random_star, rasterize; "
+            "rs = rasterize(random_star(np.random.default_rng(2), n=64, d=2, "
+            "amp=0.2), 1.0 / 128); "
+            "print(*(repr(v) for a in (0.5, 1.0, 1.5) "
+            "for v in lattice_riesz(rs, a)))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout)
+    assert out[0] == out[1] and len(out[0].split()) == 6
