@@ -27,6 +27,9 @@ One line per fingerprint:
   the sha256 of the final radii and centers, for d=2 and d=3 descents in
   the boundary form, the volume form, a two-ball start and a pinching
   fragmentation run;
+- asphericity and the sha256 of the ray cast of off-center random stars
+  at d=2 n=64 and d=3 n=12, and of a wave whose spline overshoots its
+  nodal maximum at n in {64, 256};
 - the sha256 of the CSV and of the SVG chart of a warm-started 3-gamma
   sweep, and of a ``deficit_report`` table;
 - the sha256 of a ``save_configuration`` -> ``load_configuration``
@@ -86,10 +89,12 @@ from isoshape.geometry import (
     load_configuration,
     make_ball,
     make_grid,
+    ray_radius,
     save_configuration,
 )
 from isoshape.optimize import (
     OptimizerOptions,
+    asphericity,
     build_initial_config,
     minimize,
     records_to_csv,
@@ -164,6 +169,23 @@ def round_trip(config) -> str:
         shapes = load_configuration(path).components
     return (f"{text_sha(text)} "
             f"{sha(*[s.radii for s in shapes], *[s.center for s in shapes])}")
+
+
+def ray_casts():
+    rng = np.random.default_rng(12)
+    for d, n in ((2, 64), (3, 12)):
+        for _ in range(2):
+            star = random_star(rng, n=n, d=d, amp=0.2, center_scale=0.3)
+            print(f"asphericity off-center star d={d} n={n}: "
+                  f"{f(asphericity(star))} rays={sha(ray_radius(star))}")
+    # the spline of r = 1 + 0.2 cos(k theta + 0.3), k = n/4, overshoots
+    # the nodal maximum, so some rays end beyond the nodal bracket
+    for n in (64, 256):
+        g = make_grid(2, n)
+        wave = StarShape(grid=g, center=np.array([0.0, 1e-3]),
+                         radii=1.0 + 0.2 * np.cos(n // 4 * g.theta + 0.3))
+        print(f"asphericity wave n={n} k={n // 4}: {f(asphericity(wave))} "
+              f"rays={sha(ray_radius(wave))}")
 
 
 def tables():
@@ -292,6 +314,7 @@ def rasters():
 
 if __name__ == "__main__":
     descents()
+    ray_casts()
     tables()
     riesz_values()
     fuglede_values()

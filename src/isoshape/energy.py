@@ -90,8 +90,8 @@ from .errors import OverlapError, ValidationError
 from .geometry import (
     Configuration,
     EnergyParams,
-    SphereGrid,
     StarShape,
+    _weighted_normals,
     total_volume,
 )
 
@@ -258,6 +258,15 @@ def _blocks(XA, XB, upper: bool, n_work: int):
         yield i0, i1, d2, work
 
 
+def _upper_weights(W, i0: int, i1: int):
+    """concat(W[i0:i1], 2 W[i1:]): the column weights of the row block
+    [i0, i1) of a self sum on the upper block triangle; W[i0:] itself
+    when the tail is empty (the last block, or the only one)."""
+    if i1 == W.shape[0]:
+        return W[i0:]
+    return np.concatenate((W[i0:i1], 2.0 * W[i1:]))
+
+
 def pair_sum(XA, WA, XB, WB, alpha: float, h_levels) -> list[float]:
     """sum_{a,b} WA_a WB_b (|XA_a - XB_b|^2 + h^2)^(-alpha/2) per h level.
 
@@ -270,7 +279,7 @@ def pair_sum(XA, WA, XB, WB, alpha: float, h_levels) -> list[float]:
     upper = XA is XB and WA is WB
     parts = [[] for _ in h_levels]
     for i0, i1, d2, (k,) in _blocks(XA, XB, upper, 1):
-        wb = np.concatenate((WB[i0:i1], 2.0 * WB[i1:])) if upper else WB
+        wb = _upper_weights(WB, i0, i1) if upper else WB
         for t, h in enumerate(h_levels):
             np.add(d2, h * h, out=k)
             np.power(k, e, out=k)
@@ -314,33 +323,26 @@ def _c_alpha(d: int, alpha: float) -> float:
     return -1.0 / ((2.0 - alpha) * (d - alpha))
 
 
-def _boundary_nodes(grid: SphereGrid, center, r, comps):
-    """Boundary points Y = c + r theta and weighted normals
-    N = w r^(d-2) (r theta - sum_k D_k(r) t_k) at the grid nodes, from
-    the tangential components comps = D_k(r) on that grid."""
-    Y = center[None, :] + r[:, None] * grid.nodes
-    T = r[:, None] * grid.nodes
-    for c, t in zip(comps, grid.tangent_frame):
-        T -= c[:, None] * t
-    return Y, (grid.weights * r ** (grid.d - 2))[:, None] * T
-
-
 def _coarse_nodes(shape: StarShape):
-    """Boundary nodes of the grid's coarse level, with its own stencils:
-    the radii r[::2], or the trigonometric interpolant E of the n radii
-    where ``SphereGrid.coarse`` has one."""
+    """Boundary points c + r theta and weighted normals of the grid's
+    coarse level, with its own stencils: the radii r[::2], or the
+    trigonometric interpolant E of the n radii where
+    ``SphereGrid.coarse`` has one."""
     g, r = shape.grid, shape.radii
     coarse, E = g.coarse
     rc = r[::2].copy() if E is None else (E @ np.fft.fft(r)).real / g.n
-    return _boundary_nodes(coarse, shape.center, rc, coarse.grad_components(rc))
+    return (shape.center[None, :] + rc[:, None] * coarse.nodes,
+            _weighted_normals(coarse, rc, coarse.grad_components(rc)))
 
 
 def _boundary_cloud(shapes, coarse: bool = False):
     """Boundary nodes (Y, N) of several components, concatenated, on the
-    fine or the coarse level."""
-    nodes = [_coarse_nodes(s) if coarse else
-             _boundary_nodes(s.grid, s.center, s.radii, s.slopes)
+    fine level (each shape's cached ``points`` and ``normals``) or the
+    coarse level."""
+    nodes = [_coarse_nodes(s) if coarse else (s.points, s.normals)
              for s in shapes]
+    if len(nodes) == 1:
+        return nodes[0]
     return (np.concatenate([y for y, _ in nodes]),
             np.concatenate([n for _, n in nodes]))
 
@@ -355,7 +357,7 @@ def boundary_sum(YA, NA, YB, NB, alpha: float) -> float:
     upper = YA is YB and NA is NB
     parts = []
     for i0, i1, k, _ in _blocks(YA, YB, upper, 0):
-        nb = np.concatenate((NB[i0:i1], 2.0 * NB[i1:])) if upper else NB
+        nb = _upper_weights(NB, i0, i1) if upper else NB
         np.power(k, 1.0 - alpha / 2.0, out=k)
         parts.append(float(np.vdot(NA[i0:i1], k @ nb)))
     return _c_alpha(YA.shape[1], alpha) * math.fsum(parts)
@@ -503,16 +505,19 @@ def _perimeter_terms(shape: StarShape, params: EnergyParams):
     """Boundary points y, density a(y), tangential components of grad r
     and slant sqrt(r^2 + |grad r|^2) at the grid nodes."""
     _check_params(params, (shape,))
-    g = shape.grid
     r = shape.radii
-    comps = shape.slopes
-    slant = np.sqrt(r * r + sum(c * c for c in comps))
-    y = shape.center[None, :] + r[:, None] * g.nodes
+    slant = np.sqrt(r * r + shape.slope_sq)
+    y = shape.points
     if params.p == 0.0:
         dens = np.ones_like(r)
     else:
-        dens = np.linalg.norm(y, axis=1) ** params.p
-    return y, dens, comps, slant
+        dens = _norms(y) ** params.p
+    return y, dens, shape.slopes, slant
+
+
+def _norms(y):
+    """|y_i| of the rows of y, by np.linalg.norm's own formula."""
+    return np.sqrt(np.add.reduce(y * y, axis=1))
 
 
 def weighted_perimeter(shape: StarShape, params: EnergyParams) -> float:
@@ -532,7 +537,7 @@ def perimeter_gradient(shape: StarShape, params: EnergyParams):
         dd_dr = np.zeros_like(r)
         dd_dc_fac = np.zeros_like(r)
     else:
-        ny = np.linalg.norm(y, axis=1)
+        ny = _norms(y)
         dd_dc_fac = params.p * ny ** (params.p - 2.0)
         dd_dr = dd_dc_fac * np.einsum("ij,ij->i", y, g.nodes)
     base = w * dens * r ** (d - 2)

@@ -26,15 +26,20 @@ four shifted operands as slices of the padded copy.
 What depends only on the grid or only on the shape is a cached
 property of that object, computed once and read-only: a grid's
 ``tangent_frame``, ``coarse`` level of the Riesz error bar and d=3
-``polar_cells`` table, a shape's radial ``slopes``, its d=2 ``spline``
-interpolant with its ``spline_table`` and its d=3 ``wrapped_radii``.
-Every perimeter, boundary-node and resolvability evaluation of one
-shape reads the same slopes.
+``polar_cells`` table; a shape's radial ``slopes`` and their squared
+norm ``slope_sq``, its boundary ``points`` c + r theta and weighted
+``normals`` (the nodes of the boundary form of the Riesz energy), its
+d=2 ``spline`` interpolant with its ``spline_table`` and its d=3
+``wrapped_radii``.  Every perimeter, boundary-node, gradient and
+resolvability evaluation of one shape reads the same arrays.
 
 A StarShape also has a continuous interpretation used by the raster and
 Monte Carlo oracles: the radial samples are interpolated (periodic
 cubic spline for d=2, bilinear on the lat-long grid for d=3) and
 membership of a point x is the test |x - c| <= r_interp(angle(x - c)).
+The public ``membership`` and ``radial_at_directions`` check their
+input and call the unchecked ``_inside`` and ``_radial_at``, which work
+on coordinate columns; the ray cast calls ``_inside`` directly.
 The bilinear kernel is table-driven: a uniform bucket table in the
 polar angle, with at most one node per bucket, gives the polar interval
 with one comparison, and the radii padded with two wrap-around azimuth
@@ -316,6 +321,17 @@ def tangential_gradient(field, grid: SphereGrid) -> np.ndarray:
     return out
 
 
+def _weighted_normals(grid: SphereGrid, r, comps) -> np.ndarray:
+    """Weighted outer normals N = w r^(d-2) (r theta - sum_k D_k(r) t_k)
+    of the radial graph r at the grid nodes, from its tangential
+    components comps = D_k(r) on that grid: the normals of the boundary
+    form of the Riesz energy."""
+    T = r[:, None] * grid.nodes
+    for c, t in zip(comps, grid.tangent_frame):
+        T -= c[:, None] * t
+    return (grid.weights * r ** (grid.d - 2))[:, None] * T
+
+
 # ----------------------------------------------------------------------
 # shapes and configurations
 # ----------------------------------------------------------------------
@@ -335,9 +351,9 @@ class StarShape:
             raise ValidationError(f"center has {c.size} coordinates, grid d={self.grid.d}")
         if r.size != self.grid.n_nodes:
             raise ValidationError(f"got {r.size} radial samples for {self.grid.n_nodes} nodes")
-        if not np.all(np.isfinite(c)) or not np.all(np.isfinite(r)):
+        if not np.isfinite(c).all() or not np.isfinite(r).all():
             raise ValidationError("non-finite center or radial sample")
-        if np.any(r < R_MIN):
+        if (r < R_MIN).any():
             raise ValidationError(f"radius below floor R_MIN={R_MIN:g}")
         c.setflags(write=False)
         r.setflags(write=False)
@@ -356,6 +372,31 @@ class StarShape:
         for c in comps:
             c.setflags(write=False)
         return comps
+
+    @cached_property
+    def slope_sq(self) -> np.ndarray:
+        """|grad_tau r|^2 = sum_k D_k(r)^2 at the grid nodes, computed once
+        per shape and read-only."""
+        sq = sum(c * c for c in self.slopes)
+        sq.setflags(write=False)
+        return sq
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Boundary points c + r theta at the grid nodes, (N, d), computed
+        once per shape and read-only."""
+        y = self.center[None, :] + self.radii[:, None] * self.grid.nodes
+        y.setflags(write=False)
+        return y
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """Weighted outer normals w r^(d-2) (r theta - sum_k D_k(r) t_k)
+        at the grid nodes (``_weighted_normals``), (N, d), computed once
+        per shape and read-only."""
+        N = _weighted_normals(self.grid, self.radii, self.slopes)
+        N.setflags(write=False)
+        return N
 
     @cached_property
     def wrapped_radii(self) -> np.ndarray:
@@ -486,16 +527,21 @@ def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if not np.isfinite(dirs).all():
         raise ValidationError("non-finite direction")
-    g = shape.grid
+    return _radial_at(shape, dirs.T)
+
+
+def _radial_at(shape: StarShape, cols) -> np.ndarray:
+    """The interpolated radial function at the unit directions whose
+    coordinate columns are cols[0], ..., cols[d-1]; unchecked."""
     # the azimuth in [0, 2 pi], as np.mod gives it: an angle in
     # (-4.4e-16, 0) rounds up to 2 pi, which the periodic spline wraps
     # to 0, and -0.0 becomes +0.0 (a branch-free add; both interpolants
     # take the same value at either zero)
-    ang = np.arctan2(dirs[:, 1], dirs[:, 0])
+    ang = np.arctan2(cols[1], cols[0])
     ang += (ang < 0) * (2.0 * math.pi)
-    if g.d == 2:
+    if shape.grid.d == 2:
         return _cubic(shape, ang)
-    phi = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
+    phi = np.arccos(np.clip(cols[2], -1.0, 1.0))
     return _bilinear(shape, phi, ang)
 
 
@@ -573,12 +619,16 @@ def membership(shape: StarShape, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if not np.isfinite(pts).all():
         raise ValidationError("non-finite point")
-    cols = [pts[:, k] - c for k, c in enumerate(shape.center)]
+    return _inside(shape, [pts[:, k] - c for k, c in enumerate(shape.center)])
+
+
+def _inside(shape: StarShape, cols) -> np.ndarray:
+    """The membership test of the points whose offsets from the center
+    have the coordinate columns cols; unchecked."""
     rho = np.sqrt(sum(y * y for y in cols))
     at_center = rho == 0.0
     safe = np.where(at_center, 1.0, rho)
-    dirs = np.stack([y / safe for y in cols])
-    return (rho <= radial_at_directions(shape, dirs.T)) | at_center
+    return (rho <= _radial_at(shape, [y / safe for y in cols])) | at_center
 
 
 def config_membership(config: Configuration, pts) -> np.ndarray:
@@ -636,23 +686,68 @@ def ray_radius(shape: StarShape) -> np.ndarray:
     """Distance from the origin to the boundary along the grid nodes.
 
     Bisection on the membership test; requires the origin to lie inside.
-    It stops at 64 steps or once a step changes neither bracket: from
-    there on every step would repeat it.
+    The bracket is |c| + max(radii) (1 + 1e-9).  The d=2 spline can
+    overshoot the nodal maximum, so a ray still inside at that bracket
+    is cast again on the bracket from the spline's exact maximum
+    (``_spline_range``); the bilinear d=3 interpolant never exceeds the
+    nodal maximum.
     """
     g = shape.grid
     if not membership(shape, np.zeros((1, g.d)))[0]:
         raise ValidationError("origin is not inside the shape; ray cast undefined")
-    lo = np.zeros(g.n_nodes)
-    hi = np.full(g.n_nodes, float(np.linalg.norm(shape.center)) + shape.max_radius * (1.0 + 1e-9))
+    c_norm = float(np.linalg.norm(shape.center))
+    e = [np.ascontiguousarray(g.nodes[:, k]) for k in range(g.d)]
+    top = c_norm + shape.max_radius * (1.0 + 1e-9)
+    lo, hi = _bisect(shape, e, np.zeros(g.n_nodes), np.full(g.n_nodes, top))
+    if g.d == 2:
+        # only a ray whose upper end never moved can be clamped
+        k = np.nonzero(hi == top)[0]
+        k = k[_inside(shape, [top * ek[k] - c for ek, c in zip(e, shape.center)])]
+        if k.size:
+            wide = c_norm + _spline_range(shape)[1] * (1.0 + 1e-9)
+            lo[k], hi[k] = _bisect(shape, [ek[k] for ek in e],
+                                   np.zeros(k.size), np.full(k.size, wide))
+    return 0.5 * (lo + hi)
+
+
+def _bisect(shape: StarShape, e, lo, hi):
+    """(lo, hi) after bisecting each ray t -> t e from the origin on the
+    inside test, with e the coordinate columns of the ray directions.
+
+    It stops at 64 steps or once a step changes neither bracket: from
+    there on every step would repeat it.
+    """
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        inside = membership(shape, mid[:, None] * g.nodes)
+        inside = _inside(shape, [mid * ek - c for ek, c in zip(e, shape.center)])
         new_lo = np.where(inside, mid, lo)
         new_hi = np.where(inside, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+        if (new_lo == lo).all() and (new_hi == hi).all():
             break
         lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+    return lo, hi
+
+
+def _spline_range(shape: StarShape):
+    """(minimum, maximum) of the d=2 spline: each cubic piece takes its
+    extremes at the ends of its interval or at roots of its derivative
+    inside it."""
+    sp = shape.spline
+    c, h = sp.c, np.diff(sp.x)
+    # derivative a s^2 + b s + q of piece k in s = x - x_k, with the
+    # cancellation-free pair of roots w / a and q / w
+    a, b, q = 3.0 * c[0], 2.0 * c[1], c[2]
+    disc = b * b - 4.0 * a * q
+    w = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.concatenate((w / a, q / w))
+    inside = (np.tile(disc, 2) >= 0.0) & (roots >= 0.0) \
+        & (roots <= np.tile(h, 2))
+    knots = sp.x[:-1]
+    cand = np.concatenate((sp.x, np.tile(knots, 2)[inside] + roots[inside]))
+    # a root at the end of the last piece can round past 2 pi
+    vals = _cubic(shape, np.mod(cand, 2.0 * math.pi))
+    return float(vals.min()), float(vals.max())
 
 
 # ----------------------------------------------------------------------

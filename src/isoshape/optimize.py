@@ -24,16 +24,22 @@ x -> t x with t = volume^{-1/d}, exact for the homogeneous density
 |x|^p, after every trial step.  ``_project_volume`` clamps, projects
 and builds the candidate from the trial vector in one pass, one
 StarShape per component, so each trial's perimeter, resolvability and
-Riesz terms read that shape's slopes (``StarShape.slopes``), computed
-once.  Descent directions are preconditioned
-by the H^1 metric (M + D^T M D)^{-1} on each radial block, which evens
-out the k^2 stiffness of high angular modes.  The operator is assembled
+Riesz terms read that shape's slopes, boundary points and normals
+(``StarShape.slopes``, ``slope_sq``, ``points``, ``normals``), computed
+once; the accepted trial's gradient and the final energy reuse them.
+Descent directions are preconditioned by the H^1 metric
+(M + D^T M D)^{-1} on each radial block, which evens out the k^2
+stiffness of high angular modes.  The operator is assembled
 from the grid's own tangential stencils (``SphereGrid.grad_components``
 applied to the columns of the identity), so u^T (M + D^T M D) u is
 the H^1 norm that ``asphericity`` measures.  Its Cholesky factor is
-built once per grid and kept in a weak map keyed by the grid, so every
-run on that grid, the fresh and warm starts of a sweep included, shares
-it, and dropping the grid frees it.
+built once per grid, checked for non-finite entries then, made
+read-only and kept in a weak map keyed by the grid, so every run on
+that grid, the fresh and warm starts of a sweep included, shares it,
+and dropping the grid frees it.  Each iteration stacks the gradient and
+the volume normal as the two columns of one block: one band cut and
+one triangular solve pair per component serve both, and give the bits
+of one solve per vector.  A solve checks only its right-hand side.
 
 The descent moves only within the band of angular modes that the
 tangential stencils resolve (``_band_limited``), and a candidate with a
@@ -277,15 +283,25 @@ _H1_FACTORS = weakref.WeakKeyDictionary()
 
 
 def _h1_solve(grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
-    """(M + D^T M D)^{-1} rhs, with the grid's factor from _H1_FACTORS."""
+    """(M + D^T M D)^{-1} rhs for a vector or an (N, k) block, with the
+    grid's read-only factor from _H1_FACTORS.
+
+    The factor is checked for non-finite entries once, when it is built;
+    each call checks only rhs, and raises ValueError as ``cho_solve``
+    does.  A k-column block gives the bits of k one-column solves.
+    """
     factor = _H1_FACTORS.get(grid)
     if factor is None:
         factor = _H1_FACTORS[grid] = cho_factor(_h1_operator(grid))
-    return cho_solve(factor, rhs)
+        factor[0].setflags(write=False)
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return cho_solve(factor, rhs, check_finite=False)
 
 
 def _precondition(config: Configuration, v: np.ndarray) -> np.ndarray:
-    """The H^1 solve on each radial block of v; centers pass through."""
+    """The H^1 solve on each radial block of v, a vector or an (N, k)
+    block; centers pass through."""
     parts = []
     i0 = 0
     for s in config.components:
@@ -414,7 +430,7 @@ def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
     it through the objective instead of raising), z is scaled by
     volume^(-1/d) and the floor is applied again.
     """
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValidationError("non-finite radial sample or center")
     parts = []
     i0 = 0
@@ -457,8 +473,7 @@ def _resolved(config: Configuration) -> bool:
     for s in config.components:
         d = s.grid.d
         r_vol = (volume(s) / unit_ball_volume(d)) ** (1.0 / d)
-        slope2 = sum(c * c for c in s.slopes)
-        if float(slope2.max()) > (SLOPE_LIMIT * r_vol) ** 2:
+        if float(s.slope_sq.max()) > (SLOPE_LIMIT * r_vol) ** 2:
             return False
         if float(s.radii.min()) <= R_MIN:
             return False
@@ -466,8 +481,9 @@ def _resolved(config: Configuration) -> bool:
 
 
 def _band_limited(config: Configuration, v: np.ndarray) -> np.ndarray:
-    """v with the radial blocks cut to the Fourier modes |k| <= m // 3 of
-    the uniform axis (m = n angles in d=2, 2n azimuths in d=3).
+    """v, a vector or an (N, k) block, with the radial blocks cut to the
+    Fourier modes |k| <= m // 3 of the uniform axis (m = n angles in
+    d=2, 2n azimuths in d=3).
 
     Every descent moves in this band only.  The central stencils
     of ``SphereGrid.grad_components`` differentiate mode k with the
@@ -487,9 +503,11 @@ def _band_limited(config: Configuration, v: np.ndarray) -> np.ndarray:
         g = s.grid
         i1 = i0 + s.radii.size
         m = g.n if g.d == 2 else g.azimuth.size
-        spec = np.fft.rfft(out[i0:i1].reshape(-1, m), axis=1)
+        # one transform pair over the rows of every column of the block
+        block = out[i0:i1].T
+        spec = np.fft.rfft(block.reshape(-1, m), axis=1)
         spec[:, m // 3 + 1:] = 0.0
-        out[i0:i1] = np.fft.irfft(spec, m, axis=1).ravel()
+        out[i0:i1] = np.fft.irfft(spec, m, axis=1).reshape(block.shape).T
         i0 = i1 + g.d
     return out
 
@@ -542,14 +560,17 @@ def minimize(init: Configuration, params: EnergyParams,
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        g = _band_limited(config, _flatten(shape_gradient(config, params, vq)))
-        n_vec = _band_limited(config, _flatten(
-            [(_volume_gradient(s), np.zeros(s.grid.d))
-             for s in config.components]))
+        # the gradient and the volume normal side by side: one band cut
+        # and one H^1 solve serve both.  Each is then copied to a
+        # contiguous row, since a strided dot product can round otherwise
+        block = _band_limited(config, np.column_stack((
+            _flatten(shape_gradient(config, params, vq)),
+            _flatten([(_volume_gradient(s), np.zeros(s.grid.d))
+                      for s in config.components]))))
+        g, n_vec = block.T.copy()
 
         # preconditioned direction, kept tangent to the constraint
-        direction = _precondition(config, g)
-        Pn = _precondition(config, n_vec)
+        direction, Pn = _precondition(config, block).T.copy()
         direction = direction - Pn * (float(n_vec @ direction)
                                       / float(n_vec @ Pn))
         g_proj = g - n_vec * (float(n_vec @ g) / float(n_vec @ n_vec))

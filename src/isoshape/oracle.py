@@ -84,7 +84,7 @@ from .geometry import (
     Configuration,
     EnergyParams,
     StarShape,
-    _cubic,
+    _spline_range,
     config_membership,
     dilate,
     interpolated_volume,
@@ -333,28 +333,6 @@ def symmetric_difference_area(a: RasterSet, b: RasterSet) -> float:
 
 # Samplers return draw(rng, m) -> (d, m) array, one contiguous row per
 # coordinate, together with the measure of the sampled set.
-
-def _spline_range(shape: StarShape):
-    """(minimum, maximum) of the d=2 spline: each cubic piece takes its
-    extremes at the ends of its interval or at roots of its derivative
-    inside it."""
-    sp = shape.spline
-    c, h = sp.c, np.diff(sp.x)
-    # derivative a s^2 + b s + q of piece k in s = x - x_k, with the
-    # cancellation-free pair of roots w / a and q / w
-    a, b, q = 3.0 * c[0], 2.0 * c[1], c[2]
-    disc = b * b - 4.0 * a * q
-    w = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.concatenate((w / a, q / w))
-    inside = (np.tile(disc, 2) >= 0.0) & (roots >= 0.0) \
-        & (roots <= np.tile(h, 2))
-    knots = sp.x[:-1]
-    cand = np.concatenate((sp.x, np.tile(knots, 2)[inside] + roots[inside]))
-    # a root at the end of the last piece can round past 2 pi
-    vals = _cubic(shape, np.mod(cand, 2.0 * math.pi))
-    return float(vals.min()), float(vals.max())
-
 
 def _envelope(shape: StarShape) -> float:
     """Majorant r_max of the interpolated radial function, which keeps

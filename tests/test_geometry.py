@@ -14,6 +14,7 @@ from isoshape.geometry import (
     _bilinear,
     _cubic,
     _periodic_d1,
+    _spline_range,
     config_membership,
     dilate,
     load_configuration,
@@ -468,6 +469,69 @@ def test_cubic_kernel_matches_the_spline_bit_for_bit(n):
     assert shape.spline_table[1] is knots
     for arr in (knots, *rows):
         assert not arr.flags.writeable
+
+
+def _membership_one_pass(shape, pts):
+    """membership written as one function: offsets, norms, the stacked
+    directions and the public radial_at_directions."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    cols = [pts[:, k] - c for k, c in enumerate(shape.center)]
+    rho = np.sqrt(sum(y * y for y in cols))
+    at_center = rho == 0.0
+    safe = np.where(at_center, 1.0, rho)
+    dirs = np.stack([y / safe for y in cols])
+    return (rho <= radial_at_directions(shape, dirs.T)) | at_center
+
+
+@pytest.mark.parametrize("d,n", [(2, 24), (2, 64), (3, 8), (3, 12)])
+def test_membership_is_the_one_pass_test_bit_for_bit(d, n):
+    rng = np.random.default_rng(n + d)
+    shape = random_star(rng, n=n, d=d, amp=0.2, center_scale=0.3)
+    pts = shape.center + shape.max_radius * rng.uniform(-1.3, 1.3, (20_000, d))
+    pts[::101] = shape.center
+    got = membership(shape, pts)
+    assert np.array_equal(got, _membership_one_pass(shape, pts))
+    assert got[::101].all() and 0.1 < got.mean() < 0.9
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 25), (3, 8)])
+def test_cached_boundary_data_are_the_inline_expressions(d, n):
+    from isoshape.energy import _norms
+    shape = random_star(np.random.default_rng(n), n=n, d=d, amp=0.2,
+                        center_scale=0.3)
+    g, r = shape.grid, shape.radii
+    comps = g.grad_components(r)
+    T = r[:, None] * g.nodes
+    for c, t in zip(comps, g.tangent_frame):
+        T -= c[:, None] * t
+    want = {"points": shape.center[None, :] + r[:, None] * g.nodes,
+            "normals": (g.weights * r ** (d - 2))[:, None] * T,
+            "slope_sq": sum(c * c for c in comps)}
+    for name, value in want.items():
+        got = getattr(shape, name)
+        assert np.array_equal(got, value), name
+        assert not got.flags.writeable, name
+        assert getattr(shape, name) is got, name
+    assert np.array_equal(_norms(shape.points),
+                          np.linalg.norm(shape.points, axis=1))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_ray_radius_reaches_a_spline_beyond_the_nodal_maximum(n):
+    # a wave of k = n/4 crests: the spline overshoots the largest radius
+    # between the nodes, beyond the nodal bracket |c| + max(radii)
+    g = make_grid(2, n)
+    shape = StarShape(grid=g, center=np.array([0.0, 1e-3]),
+                      radii=1.0 + 0.2 * np.cos(n // 4 * g.theta + 0.3))
+    assert _spline_range(shape)[1] > shape.max_radius * (1.0 + 1e-4)
+    lo, hi = np.zeros(g.n_nodes), np.full(g.n_nodes, 2.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        inside = membership(shape, mid[:, None] * g.nodes)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    np.testing.assert_allclose(ray_radius(shape), 0.5 * (lo + hi),
+                               rtol=1e-12, atol=0.0)
 
 
 def _ray_radius_64_steps(shape):

@@ -157,6 +157,74 @@ def test_band_limit_commutes_with_the_h1_metric():
         np.testing.assert_allclose(lhs[:-d], rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 64), (3, 8), (3, 12)])
+def test_two_column_h1_solve_is_two_one_column_solves(d, n):
+    from scipy.linalg import cho_solve
+    from isoshape.optimize import _H1_FACTORS, _h1_solve
+    grid = make_grid(d, n)
+    B = np.random.default_rng(n).standard_normal((grid.n_nodes, 2))
+    both = _h1_solve(grid, B)
+    cols = [_h1_solve(grid, B[:, j].copy()) for j in range(2)]
+    assert np.array_equal(both, np.column_stack(cols))
+    assert np.array_equal(both, cho_solve(_H1_FACTORS[grid], B))
+
+
+def test_h1_factor_is_read_only_and_the_solve_checks_its_rhs():
+    from isoshape.optimize import _H1_FACTORS, _h1_solve
+    grid = make_grid(2, 20)
+    _h1_solve(grid, np.ones(grid.n_nodes))
+    factor, _ = _H1_FACTORS[grid]
+    assert not factor.flags.writeable
+    for bad in (math.nan, math.inf, -math.inf):
+        rhs = np.ones((grid.n_nodes, 2))
+        rhs[3, 1] = bad
+        with pytest.raises(ValueError):
+            _h1_solve(grid, rhs)
+        with pytest.raises(ValueError):
+            _h1_solve(grid, rhs[:, 1].copy())
+
+
+def test_two_column_h1_solve_does_not_depend_on_two_blas_threads():
+    # the descent solves its gradient and volume normal as one block; at
+    # two OpenBLAS threads the block must still give the bits of two
+    # one-column solves
+    code = (
+        "import numpy as np\n"
+        "from isoshape.geometry import make_grid\n"
+        "from isoshape.optimize import _h1_solve\n"
+        "for d, n in ((2, 128), (3, 16)):\n"
+        "    grid = make_grid(d, n)\n"
+        "    B = np.random.default_rng(7).standard_normal((grid.n_nodes, 2))\n"
+        "    cols = [_h1_solve(grid, B[:, j].copy()) for j in range(2)]\n"
+        "    print(d, n, np.array_equal(_h1_solve(grid, B),\n"
+        "                               np.column_stack(cols)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "2 128 True\n3 16 True\n"
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 25), (3, 8)])
+@pytest.mark.parametrize("count", [1, 2])
+def test_band_limit_of_a_block_is_column_wise(d, n, count):
+    from isoshape.optimize import _band_limited
+    rng = np.random.default_rng(10 * n + count)
+    grid = make_grid(d, n)
+    cfg = Configuration(tuple(
+        StarShape(grid=grid, center=np.full(d, 3.0 * i),
+                  radii=1.0 + 0.1 * rng.standard_normal(grid.n_nodes))
+        for i in range(count)))
+    B = rng.standard_normal((count * (grid.n_nodes + d), 2))
+    cut = _band_limited(cfg, B)
+    for j in range(2):
+        assert np.array_equal(
+            cut[:, j], _band_limited(cfg, np.ascontiguousarray(B[:, j])))
+
+
 @pytest.mark.parametrize("alpha,gamma", [(1.0, 1.0), (1.75, 0.5)])
 def test_descent_returns_the_ball_not_a_zigzag(alpha, gamma):
     # d=2 n=20: the discrete E is lower on grid-scale ripples than on the
