@@ -1,27 +1,19 @@
-"""Regenerate the Monte Carlo reference constants frozen in the tests.
+"""Regenerate the Monte Carlo reference constant frozen in the tests.
 
-Two numbers in the test suite come from long Monte Carlo runs rather
-than closed forms, and this script reproduces both end to end.
-
-1. V(B_1) for d = 2, alpha = 1: plain pair sampling inside the unit
-   disk.  The frozen value 16.75190678 came from 1e8 samples with seed
-   42 (the exact value is 16 pi / 3 = 16.75516...; at 2 alpha = d the
-   second moment of the integrand diverges logarithmically, so the
-   quoted sigma = 4.11e-3 is approximate; the exact value sits inside
-   the 3 sigma band).
-
-2. The mode-2 Riesz deficit coefficient [V(B) - V(Omega_eps)] / eps^2
-   at eps = 0.05 against the volume-matched ball.  Independent-seed
-   differencing of two O(1) energies loses all significant digits
-   (spread +-2.4 on a limit of about 4.1 at 1e8 pairs), so the shape
-   and ball point clouds are driven by the same uniforms (common
-   random numbers); the difference integrand is O(eps) pointwise and
-   the variance drops by about 130x.  The frozen coefficient is 4.090
-   +- 0.060 (1 sigma) from 1e8 pairs with seed 515.
+One number in the test suite comes from a long Monte Carlo run rather
+than a closed form, and this script reproduces it end to end: the
+mode-2 Riesz deficit coefficient [V(B) - V(Omega_eps)] / eps^2 at
+eps = 0.05 against the volume-matched ball.  Independent-seed
+differencing of two O(1) energies loses all significant digits (spread
++-2.4 on a limit of about 4.1 at 1e8 pairs), so the shape and ball
+point clouds are driven by the same uniforms (common random numbers);
+the difference integrand is O(eps) pointwise and the variance drops by
+about 130x.  The frozen coefficient is 4.090 +- 0.060 (1 sigma) from
+1e8 pairs with seed 515.
 
 The default sample count is 1e6 so the script finishes in seconds;
-pass --samples 1e8 to reproduce the frozen values to the digits
-quoted above.
+pass --samples 1e8 to reproduce the frozen value to the digits quoted
+above.
 
 Run:  python3 demos/frozen_references.py [--samples 1e6]
 """
@@ -30,9 +22,6 @@ import argparse
 import math
 
 import numpy as np
-
-from isoshape.geometry import make_ball, make_grid
-from isoshape.oracle import mc_riesz
 
 CHUNK = 1 << 19
 
@@ -83,14 +72,6 @@ def main(argv=None):
     ap.add_argument("--samples", type=float, default=1e6)
     args = ap.parse_args(argv)
     n = int(args.samples)
-
-    ball = make_ball(1.0, (0.0, 0.0), make_grid(2, 256))
-    est, se = mc_riesz(ball, None, alpha=1.0, n_samples=max(n, 1_000_000),
-                       seed=42)
-    exact = 16.0 * math.pi / 3.0
-    print(f"V(B_1), d=2 alpha=1: {est:.8f} +- {se:.2e}"
-          f"   (frozen 16.75190678, exact {exact:.8f})")
-
     eps = 0.05
     val, se = coupled_mode2_deficit(eps, n, seed=515)
     print(f"mode-2 deficit / eps^2 at eps={eps}:"

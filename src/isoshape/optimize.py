@@ -92,7 +92,6 @@ from .geometry import (
     StarShape,
     dilate,
     make_ball,
-    membership,
     ray_radius,
     total_volume,
     unit_ball_volume,
@@ -302,14 +301,10 @@ def _h1_solve(grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
 def _precondition(config: Configuration, v: np.ndarray) -> np.ndarray:
     """The H^1 solve on each radial block of v, a vector or an (N, k)
     block; centers pass through."""
-    parts = []
-    i0 = 0
-    for s in config.components:
-        n = s.radii.size
-        parts.append(_h1_solve(s.grid, v[i0:i0 + n]))
-        parts.append(v[i0 + n:i0 + n + s.grid.d])
-        i0 += n + s.grid.d
-    return np.concatenate(parts)
+    out = v.copy()
+    for s, rows in _radial_blocks(config):
+        out[rows] = _h1_solve(s.grid, v[rows])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -394,8 +389,6 @@ def asphericity(config) -> float:
     if np.all(shape.center == 0.0):
         rho = shape.radii
     else:
-        if not membership(shape, np.zeros(d)):
-            return math.inf
         try:
             rho = ray_radius(shape)
         except ValidationError:
@@ -416,8 +409,16 @@ def _flatten(grads):
 
 
 def _pack(config: Configuration) -> np.ndarray:
-    return np.concatenate([np.concatenate([s.radii, s.center])
-                           for s in config.components])
+    return _flatten([(s.radii, s.center) for s in config.components])
+
+
+def _radial_blocks(config: Configuration):
+    """(shape, slice of its radii) per component, in the layout of
+    ``_pack``: each component's radii, then its center."""
+    i0 = 0
+    for s in config.components:
+        yield s, slice(i0, i0 + s.radii.size)
+        i0 += s.radii.size + s.grid.d
 
 
 def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
@@ -432,12 +433,8 @@ def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
     """
     if not np.isfinite(z).all():
         raise ValidationError("non-finite radial sample or center")
-    parts = []
-    i0 = 0
-    for s in config.components:
-        i1 = i0 + s.radii.size
-        parts.append((np.maximum(z[i0:i1], R_MIN), z[i1:i1 + s.grid.d]))
-        i0 = i1 + s.grid.d
+    parts = [(np.maximum(z[rows], R_MIN), z[rows.stop:rows.stop + s.grid.d])
+             for s, rows in _radial_blocks(config)]
     # the quadrature of geometry.volume on the clamped radii
     vol = math.fsum(float(np.dot(s.grid.weights, r ** s.grid.d)) / s.grid.d
                     for s, (r, _) in zip(config.components, parts))
@@ -498,17 +495,14 @@ def _band_limited(config: Configuration, v: np.ndarray) -> np.ndarray:
     invariant under shifts along the uniform axis.
     """
     out = v.copy()
-    i0 = 0
-    for s in config.components:
+    for s, rows in _radial_blocks(config):
         g = s.grid
-        i1 = i0 + s.radii.size
         m = g.n if g.d == 2 else g.azimuth.size
         # one transform pair over the rows of every column of the block
-        block = out[i0:i1].T
+        block = out[rows].T
         spec = np.fft.rfft(block.reshape(-1, m), axis=1)
         spec[:, m // 3 + 1:] = 0.0
-        out[i0:i1] = np.fft.irfft(spec, m, axis=1).reshape(block.shape).T
-        i0 = i1 + g.d
+        out[rows] = np.fft.irfft(spec, m, axis=1).reshape(block.shape).T
     return out
 
 

@@ -32,22 +32,24 @@ when the exact table stops at half that lag.  It holds at every alpha,
 where the Monte Carlo standard error is a valid bar only for
 2 alpha < d.
 
-The Monte Carlo oracle estimates
-the Riesz energy V(A,B) = int_A int_B |x-y|^(-alpha) with the exact
-singular kernel over uniform point pairs: directions are drawn by
-angular rejection under the envelope r_max, radii by the exact inverse
-CDF rho = s^(1/d) r(theta), so samples are exactly uniform over the
-interpolated set.  The envelope is a true majorant: the nodal maximum
-for the bilinear d=3 interpolant, and for the d=2 spline the larger of
-a padded 4096-direction scan and the exact maximum of its cubic pieces.
-Samples are held as one contiguous row per coordinate.  Each chunk's
-random numbers are drawn whole, in a fixed order, and then transformed
-in cache-sized blocks (normalization, angles, interpolant, acceptance,
-radii, pair kernel); the kernel's sums run over the whole chunk, so the
-block size moves no bit of an estimate.  Lattice predicates (rasters,
-annulus masks, half-plane cuts) are evaluated in row blocks the same
-way, and the relative isoperimetric corpus builds its clip disk and
-annulus masks once per annulus and shares them among its cuts.
+The Monte Carlo oracle estimates the Riesz energy V(A,B) = int_A int_B
+|x-y|^(-alpha) of star shapes and configurations, the sets whose
+quadrature it checks; a raster set has the lattice sum alone.  It uses
+the exact singular kernel over uniform point pairs: directions are
+drawn by angular rejection under the envelope r_max, radii by the exact
+inverse CDF rho = s^(1/d) r(theta), so samples are exactly uniform over
+the interpolated set.  The envelope is a true majorant: the nodal
+maximum for the bilinear d=3 interpolant, and for the d=2 spline the
+larger of a padded 4096-direction scan and the exact maximum of its
+cubic pieces.  Samples are held as one contiguous row per coordinate.
+Each chunk's random numbers are drawn whole, in a fixed order, and then
+transformed in cache-sized blocks (normalization, angles, interpolant,
+acceptance, radii, pair kernel); the kernel's sums run over the whole
+chunk, so the block size moves no bit of an estimate.  Lattice
+predicates (rasters, annulus masks, half-plane cuts) are evaluated in
+row blocks the same way, and the relative isoperimetric corpus builds
+its clip disk and annulus masks once per annulus and shares them among
+its cuts.
 
 The checkers quantify inequalities the analysis relies on: the
 symmetric-difference Lipschitz bound |V(E) - V(F)| <= C |E delta F|
@@ -380,29 +382,7 @@ def _shape_sampler(shape: StarShape):
     return draw, interpolated_volume(shape)
 
 
-def _raster_sampler(rs: RasterSet):
-    ii, jj = np.nonzero(rs.mask)
-    cells = (rs.x0 + (ii + 0.5) * rs.h, rs.y0 + (jj + 0.5) * rs.h)
-
-    def draw(rng, m):
-        idx = rng.integers(ii.size, size=m)
-        jitter = rng.random((m, 2))
-        out = np.empty((2, m))
-        for a in range(0, m, _BLOCK):
-            blk = slice(a, a + _BLOCK)
-            jit = jitter[blk]
-            jit -= 0.5
-            jit *= rs.h
-            for k in range(2):
-                np.add(cells[k][idx[blk]], jit[:, k], out=out[k, blk])
-        return out
-
-    return draw, rs.volume
-
-
 def _sampler(obj):
-    if isinstance(obj, RasterSet):
-        return _raster_sampler(obj)
     if isinstance(obj, StarShape):
         return _shape_sampler(obj)
     parts = [_shape_sampler(s) for s in obj.components]
@@ -421,25 +401,26 @@ def _sampler(obj):
 
 
 def _dimension(obj) -> int:
-    if isinstance(obj, RasterSet):
-        return 2
     if isinstance(obj, StarShape):
         return obj.grid.d
     if isinstance(obj, Configuration) and obj.n_components:
         return obj.components[0].grid.d
     raise ValidationError(f"cannot sample from {type(obj).__name__} "
-                          "(need a RasterSet, a StarShape or a non-empty "
-                          "Configuration)")
+                          "(need a StarShape or a non-empty Configuration; "
+                          "the Riesz energy of a RasterSet is lattice_riesz)")
 
 
 def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
              n_samples: int = MC_SAMPLES, seed: int = 0):
     """Monte Carlo Riesz energy V(A, B) = int_A int_B |x-y|^(-alpha).
 
-    set_b = None estimates the self-energy V(A) (independent uniform
-    pairs from A).  Returns (estimate, standard error); bit-identical
-    for identical seeds.  The sample count, the seed, the dimensions and
-    alpha are validated before any sampler is built.
+    set_a and set_b are star shapes or non-empty configurations; a
+    RasterSet raises ValidationError (its exact value is
+    ``lattice_riesz``).  set_b = None estimates the self-energy V(A)
+    (independent uniform pairs from A).  Returns (estimate, standard
+    error); bit-identical for identical seeds.  The sample count, the
+    seed, the sets, their dimensions and alpha are validated before any
+    sampler is built.
     """
     for name, v in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) \

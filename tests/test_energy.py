@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from scipy.integrate import quad
-
 from isoshape.energy import (
     VolumeQuadrature,
     boundary_field,
@@ -28,17 +26,14 @@ from isoshape.geometry import (
     dilate,
     make_ball,
     make_grid,
-    sphere_area,
     unit_ball_volume,
 )
 from isoshape.oracle import random_star
 
-# Riesz self-energy of the unit disk at alpha=1, frozen from one
-# mc_riesz run at 1e8 samples, seed 2024 (estimate 16.75190678,
-# standard error 4.11e-3); the analytic value 16*pi/3 = 16.75516082
-# lies 0.79 sigma from the frozen center.
-V_B1_D2_A1 = 16.75190678
-V_B1_D2_A1_3SIG = 3 * 4.11e-3
+from closed_forms import exact_ball
+
+# Riesz self-energy of the unit disk at alpha=1
+V_B1_D2_A1 = 16.0 * math.pi / 3.0
 
 
 def _ball(d, R, n=96, c=None):
@@ -83,8 +78,7 @@ def test_riesz_ball_frozen_reference():
     shape = _ball(2, 1.0, n=128)
     r = riesz_self(shape, EnergyParams(d=2, p=2.0, alpha=1.0),
                    VolumeQuadrature.build(shape))
-    assert abs(float(r) - V_B1_D2_A1) <= V_B1_D2_A1_3SIG + r.error
-    assert abs(V_B1_D2_A1 - 16 * math.pi / 3) <= V_B1_D2_A1_3SIG
+    assert abs(float(r) - V_B1_D2_A1) <= r.error
 
 
 def test_riesz_ball_exact_d3():
@@ -285,11 +279,10 @@ def test_total_energy_breakdown_identities():
     assert bd.total == pytest.approx(
         bd.weighted_perimeter + params.gamma * bd.riesz, abs=1e-12)
     assert bd.weighted_perimeter == pytest.approx(2.0, rel=1e-10)
-    # ball B_{r0} Riesz value from the frozen unit-disk reference by
+    # ball B_{r0} Riesz value from the exact unit-disk value by
     # homogeneity: V(r0 B_1) = r0^(2d-alpha) V(B_1)
-    scaled_ref = r0 ** 3 * V_B1_D2_A1
-    assert bd.riesz == pytest.approx(
-        scaled_ref, abs=r0 ** 3 * V_B1_D2_A1_3SIG + bd.riesz_error_estimate)
+    assert bd.riesz == pytest.approx(r0 ** 3 * V_B1_D2_A1,
+                                     abs=bd.riesz_error_estimate)
     assert bd.total == pytest.approx(2.0 + 0.1 * bd.riesz, abs=1e-12)
 
 
@@ -488,22 +481,9 @@ def test_boundary_kernels_are_bit_reproducible():
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
-def _exact_ball(d, alpha):
-    """V(B_1) = |S^(d-1)| int_0^2 t^(d-1-alpha) |B_1 cap (B_1 + t e)| dt."""
-    if d == 2:
-        def lens(t):
-            return 2.0 * math.acos(t / 2.0) - (t / 2.0) * math.sqrt(4.0 - t * t)
-    else:
-        def lens(t):
-            return math.pi / 12.0 * (4.0 + t) * (2.0 - t) ** 2
-    val, _ = quad(lens, 0.0, 2.0, weight="alg", wvar=(d - 1.0 - alpha, 0.0),
-                  epsabs=0.0, epsrel=1e-13, limit=200)
-    return sphere_area(d) * val
-
-
 def test_exact_ball_constants_reproduce_closed_forms():
-    assert _exact_ball(2, 1.0) == pytest.approx(16 * math.pi / 3, rel=1e-12)
-    assert _exact_ball(3, 1.0) == pytest.approx(32 * math.pi ** 2 / 15,
+    assert exact_ball(2, 1.0) == pytest.approx(16 * math.pi / 3, rel=1e-12)
+    assert exact_ball(3, 1.0) == pytest.approx(32 * math.pi ** 2 / 15,
                                                 rel=1e-12)
 
 
@@ -519,7 +499,7 @@ def test_boundary_error_bar_covers_exact_ball(d, n):
         R = 1.3
         ball = make_ball(R, np.full(d, 0.2), make_grid(d, n))
         r = riesz_self(ball, EnergyParams(d=d, p=2.0, alpha=alpha))
-        exact = _exact_ball(d, alpha) * R ** (2 * d - alpha)
+        exact = exact_ball(d, alpha) * R ** (2 * d - alpha)
         assert abs(r.value - exact) <= r.error, (alpha, r, exact)
 
 

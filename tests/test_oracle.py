@@ -45,6 +45,8 @@ from isoshape.oracle import (
     weighted_density,
 )
 
+from closed_forms import exact_ball
+
 
 def _disk_raster(R=1.0, h=0.005):
     ball = make_ball(R, np.zeros(2), make_grid(2, 128))
@@ -147,6 +149,13 @@ def test_mc_riesz_validates_before_sampling(monkeypatch):
                  ("disk", None, 0.5, 1_000_000, 7)):
         with pytest.raises(ValidationError):
             mc_riesz(*args)
+    # a raster's Riesz energy is the lattice sum, not a Monte Carlo draw
+    raster = _square_raster()
+    for args in ((raster, None, 0.5, 1_000_000, 7),
+                 (raster, disk, 0.5, 1_000_000, 7),
+                 (disk, raster, 0.5, 1_000_000, 7)):
+        with pytest.raises(ValidationError, match="lattice_riesz"):
+            mc_riesz(*args)
 
 
 # (estimate, standard error) of mc_riesz, frozen bit for bit: any change
@@ -154,7 +163,6 @@ def test_mc_riesz_validates_before_sampling(monkeypatch):
 MC_FROZEN = {
     "disk": (11.838976239330961, 0.005008796785616734),
     "ball": (12.419437212212848, 0.009238601361983671),
-    "raster": (11.848755758931551, 0.005039956463220546),
     "cross": (0.03841097118510646, 7.058538695432608e-06),
     "config": (0.2614929857048456, 0.0001554120471945991),
 }
@@ -168,8 +176,6 @@ def test_mc_riesz_frozen_stream():
         "disk": (make_ball(1.0, np.array([0.1, -0.05]), g2), None, 0.5, 3),
         "ball": (make_ball(0.9, np.array([0.05, 0.0, -0.1]),
                            make_grid(3, 12)), None, 1.0, 4),
-        "raster": (rasterize(make_ball(1.0, np.zeros(2), make_grid(2, 96)),
-                             1.0 / 256), None, 0.5, 5),
         "cross": (a, b, 1.0, 6),
         "config": (Configuration((a, b)), None, 0.5, 8),
     }
@@ -225,14 +231,6 @@ def test_mc_riesz_sampler_homogeneity():
     est2, se2 = mc_riesz(big, None, alpha, 1_000_000, 22)
     factor = 2.0 ** (2 * 2 - alpha)
     assert abs(est2 - factor * est1) <= 3 * math.hypot(se2, factor * se1)
-
-
-def test_mc_riesz_raster_vs_shape_sampler():
-    ball = make_ball(1.0, np.zeros(2), make_grid(2, 96))
-    rs = rasterize(ball, 1.0 / 256)
-    est_s, se_s = mc_riesz(ball, None, 0.5, 1_000_000, 31)
-    est_r, se_r = mc_riesz(rs, None, 0.5, 1_000_000, 32)
-    assert abs(est_s - est_r) <= 3 * math.hypot(se_s, se_r) + 2e-3 * est_s
 
 
 def test_halfplane_relative_perimeter_direction_averaged():
@@ -567,13 +565,38 @@ def test_lattice_riesz_bar_covers_the_subdivided_lattice(alpha):
         assert bar <= 1e-5 * value
 
 
-def test_lattice_riesz_agrees_with_monte_carlo():
-    # at alpha = 0.5 < d/2 the MC standard error is a valid bar
-    rs = rasterize(random_star(np.random.default_rng(8), n=64, d=2,
-                               amp=0.2), 1.0 / 128)
-    value, bar = lattice_riesz(rs, 0.5)
-    est, se = mc_riesz(rs, None, 0.5, 1_000_000, 12)
-    assert abs(value - est) <= 3.0 * se + bar
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_lattice_riesz_of_a_full_square_is_kappa_at_lag_zero(alpha):
+    # the k x k mask at h = 1/k is the unit square, whose V is kappa(0)
+    # by definition, whatever k: homogeneity of degree 4 - alpha
+    k0 = OR._kappa(0, 0, alpha)
+    for k in (2, 3, 5, 8, 16):
+        rs = RasterSet(h=1.0 / k, x0=0.0, y0=0.0,
+                       mask=np.ones((k, k), dtype=bool))
+        value, _ = lattice_riesz(rs, alpha)
+        assert abs(value - k0) <= 1e-13 * k0, k
+
+
+def _tensor_gauss_kappa(d1, d2, alpha):
+    """kappa(D) by a tensor Gauss-Legendre rule of 16 points per axis
+    over both cells: x - y = D + u - v with u, v in [0, 1]^2."""
+    t, w = np.polynomial.legendre.leggauss(16)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    lag = (t[:, None] - t[None, :]).ravel()
+    weight = (w[:, None] * w[None, :]).ravel()
+    r2 = (d1 + lag)[:, None] ** 2 + (d2 + lag)[None, :] ** 2
+    return math.fsum((weight[:, None] * weight[None, :]
+                      * r2 ** (-0.5 * alpha)).ravel())
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_kappa_matches_tensor_gauss_away_from_the_singularity(alpha):
+    # at |D|_inf >= 2 the two cells are at least a unit apart, so the
+    # integrand is smooth and a plain product rule converges fast
+    for d1, d2 in ((2, 0), (0, 2), (2, 1), (2, 2), (3, -2), (-5, 3),
+                   (7, 4), (8, 8), (16, 0), (16, 9), (16, 16)):
+        ref = _tensor_gauss_kappa(d1, d2, alpha)
+        assert abs(OR._kappa(d1, d2, alpha) - ref) <= 1e-11 * ref, (d1, d2)
 
 
 @pytest.mark.parametrize("h", [1.0 / 128, 1.0 / 256, 1.0 / 512])
@@ -585,6 +608,25 @@ def test_lattice_riesz_unit_area_disk(h):
     value, bar = lattice_riesz(rs, 1.0)
     assert abs(value - 16.0 / (3.0 * math.sqrt(math.pi))) <= 2e-3
     assert 0.0 < bar <= 1e-6
+
+
+@pytest.mark.parametrize("h", [1.0 / 128, 1.0 / 256, 1.0 / 512])
+def test_lattice_riesz_difference_of_concentric_disks(h):
+    # dV between the unit-area disk and the disks of 0.9 and 0.75 its
+    # radius, against the closed form; the error is the rasters' own
+    # area error, about 1.7e-3 at worst, and the bars are below 1e-5
+    R = math.pi ** -0.5
+    g = make_grid(2, 128)
+    big, *small = [rasterize(make_ball(s * R, np.zeros(2), g), h)
+                   for s in (1.0, 0.9, 0.75)]
+    for alpha in (0.5, 1.0, 1.5):
+        v_big, bar_big = lattice_riesz(big, alpha)
+        for s, rs in zip((0.9, 0.75), small):
+            value, bar = lattice_riesz(rs, alpha)
+            exact = exact_ball(2, alpha) * R ** (4.0 - alpha) \
+                * (1.0 - s ** (4.0 - alpha))
+            assert abs(v_big - value - exact) <= 5e-3 * exact, (alpha, s)
+            assert bar_big + bar <= 1e-5 * exact
 
 
 def test_lattice_riesz_guards_alpha():
