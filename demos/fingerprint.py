@@ -43,7 +43,10 @@ One line per fingerprint:
   random_perturbation field;
 - mc_riesz (estimate, standard error) on balls, random stars, a
   two-disk configuration and a wavy disk whose spline peaks between the
-  directions of a 4096-point scan; interpolated_volume and mc_riesz on
+  directions of a 4096-point scan; on strongly non-round stars at d=2
+  n=64 and d=3 n=12 (long retry passes), a d=3 star-and-ball
+  configuration and 2^20 + 5 samples (a 5-sample last chunk), the cases
+  of the test's MC_FROZEN_PATHS; interpolated_volume and mc_riesz on
   d=3 random stars at n in {8, 16, 24}; the sha256 of a rasterized mask
   and its raster_measures (mc_riesz samples no raster); and the reports
   of the oracle corpora, run_rel_isop with and without star blobs;
@@ -257,6 +260,21 @@ def oracles():
                      radii=1.0 + 0.2 * np.cos(16 * g64.theta + 0.3))
     est, se = mc_riesz(wavy, None, 0.5, MC_SAMPLES, 9)
     print(f"mc_riesz wavy disk n=64 k=16: {f(est)} {f(se)}")
+    for d, n, alpha, star_seed, seed in ((2, 64, 0.5, 31, 10),
+                                         (3, 12, 1.0, 32, 11)):
+        star = random_star(np.random.default_rng(star_seed), n=n, d=d,
+                           amp=0.3)
+        est, se = mc_riesz(star, None, alpha, MC_SAMPLES, seed)
+        print(f"mc_riesz star d={d} n={n} amp=0.3: {f(est)} {f(se)}")
+    g3 = make_grid(3, 12)
+    mixed = Configuration((
+        random_star(np.random.default_rng(33), n=12, d=3, amp=0.3),
+        make_ball(0.3, np.array([1.5, 0.0, 0.1]), g3)))
+    est, se = mc_riesz(mixed, None, 1.0, MC_SAMPLES, 12)
+    print(f"mc_riesz star and ball d=3: {f(est)} {f(se)}")
+    est, se = mc_riesz(make_ball(1.0, np.array([0.1, -0.05]), g64), None,
+                       0.5, 2 ** 20 + 5, 13)
+    print(f"mc_riesz disk 2^20+5 samples: {f(est)} {f(se)}")
     for n in (8, 16, 24):
         star = random_star(np.random.default_rng(300 + n), n=n, d=3,
                            amp=0.2, kmax=4)

@@ -41,11 +41,19 @@ inverse CDF rho = s^(1/d) r(theta), so samples are exactly uniform over
 the interpolated set.  The envelope is a true majorant: the nodal
 maximum for the bilinear d=3 interpolant, and for the d=2 spline the
 larger of a padded 4096-direction scan and the exact maximum of its
-cubic pieces.  Samples are held as one contiguous row per coordinate.
-Each chunk's random numbers are drawn whole, in a fixed order, and then
-transformed in cache-sized blocks (normalization, angles, interpolant,
-acceptance, radii, pair kernel); the kernel's sums run over the whole
-chunk, so the block size moves no bit of an estimate.  Lattice
+cubic pieces.  A call holds one working set, which every chunk reuses:
+two (2^19, d) point buffers with one sample per row, and the chunk's
+kernel values, squared in place for the second moment.  Each chunk's
+random numbers are drawn whole, in a fixed order.  The first pass of a
+draw writes its normals straight into the point buffer and turns them
+into points there: each block's directions are copied out before any
+row is written, and the accepted rows never run past the block's end.
+Retry passes, and draws of fewer than 1024 samples, keep a separate
+normals array; a configuration draws its components into consecutive
+row slices and then permutes the rows.  The transform runs in
+cache-sized blocks (normalization, angles, interpolant, acceptance,
+radii, pair kernel), and the kernel's sums run over the whole chunk, so
+neither the block size nor the buffers move a bit of an estimate.  Lattice
 predicates (rasters, annulus masks, half-plane cuts) are evaluated in
 row blocks the same way, and the relative isoperimetric corpus builds
 its clip disk and annulus masks once per annulus and shares them among
@@ -333,8 +341,10 @@ def symmetric_difference_area(a: RasterSet, b: RasterSet) -> float:
 # Monte Carlo Riesz energy
 # ----------------------------------------------------------------------
 
-# Samplers return draw(rng, m) -> (d, m) array, one contiguous row per
-# coordinate, together with the measure of the sampled set.
+# Samplers return draw(rng, m, out), which fills the caller's
+# C-contiguous (m, d) buffer with one sample per row, together with the
+# measure of the sampled set.  The buffer is (m, d), not (d, m), because
+# standard_normal into a transposed view fills it in another order.
 
 def _envelope(shape: StarShape) -> float:
     """Majorant r_max of the interpolated radial function, which keeps
@@ -355,12 +365,15 @@ def _shape_sampler(shape: StarShape):
     d = shape.grid.d
     r_max = _envelope(shape)
 
-    def draw(rng, m):
-        out = np.empty((d, m))
+    def draw(rng, m, out):
         have = 0
         while have < m:
             k = max(m - have, 1024)
-            normals = rng.standard_normal((k, d))
+            # the first pass of a full-size draw keeps its normals in out:
+            # each block's directions are copied before rows are written,
+            # and the accepted rows never run past the block's end
+            normals = rng.standard_normal(
+                (k, d), out=out if have == 0 and k == m else None)
             accept = rng.random(k)
             s = rng.random(k)
             for a in range(0, k, _BLOCK):
@@ -374,10 +387,9 @@ def _shape_sampler(shape: StarShape):
                 keep = accept[a:a + _BLOCK] <= (r_dir / r_max) ** d
                 idx = np.nonzero(keep)[0][:m - have]
                 rho = s[a + idx] ** (1.0 / d) * r_dir[idx]
-                for c, row, dst in zip(shape.center, dirs, out):
+                for c, row, dst in zip(shape.center, dirs, out.T):
                     np.add(c, rho * row[idx], out=dst[have:have + idx.size])
                 have += idx.size
-        return out
 
     return draw, interpolated_volume(shape)
 
@@ -390,12 +402,13 @@ def _sampler(obj):
     total = float(vols.sum())
     probs = vols / total
 
-    def draw(rng, m):
+    def draw(rng, m, out):
         counts = rng.multinomial(m, probs)
-        blocks = [p_draw(rng, c) for (p_draw, _), c in zip(parts, counts)
-                  if c > 0]
-        pts = np.concatenate(blocks, axis=1)
-        return pts[:, rng.permutation(m)]
+        start = 0
+        for (p_draw, _), c in zip(parts, counts):
+            p_draw(rng, c, out[start:start + c])
+            start += c
+        out[:] = out[rng.permutation(m)]
 
     return draw, total
 
@@ -419,8 +432,9 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
     ``lattice_riesz``).  set_b = None estimates the self-energy V(A)
     (independent uniform pairs from A).  Returns (estimate, standard
     error); bit-identical for identical seeds.  The sample count, the
-    seed, the sets, their dimensions and alpha are validated before any
-    sampler is built.
+    seed, the sets, their dimensions, alpha and the disjointness of each
+    configuration (``OverlapError``) are validated before any sampler is
+    built.
     """
     for name, v in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
@@ -435,6 +449,9 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
             f"sets of dimension {d} and {_dimension(set_b)}; need equal")
     if not 0.0 < alpha < d:
         raise ValidationError(f"alpha={alpha} outside (0, {d})")
+    for obj in (set_a, set_b):
+        if isinstance(obj, Configuration):
+            obj.validate()
     draw_a, vol_a = _sampler(set_a)
     if set_b is None:
         draw_b, vol_b = draw_a, vol_a
@@ -443,21 +460,26 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
     ss = np.random.SeedSequence(seed)
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     children = ss.spawn(n_chunks)
+    # one working set per call, reused by every chunk
+    buf_a = np.empty((_MC_CHUNK, d))
+    buf_b = np.empty((_MC_CHUNK, d))
+    buf_k = np.empty(_MC_CHUNK)
     s1, s2 = [], []
     left = n_samples
     for child in children:
         m = min(_MC_CHUNK, left)
         left -= m
         rng = np.random.default_rng(child)
-        diff = draw_a(rng, m)
-        pts_b = draw_b(rng, m)
-        k = np.empty(m)
+        diff, pts_b, k = buf_a[:m], buf_b[:m], buf_k[:m]
+        draw_a(rng, m, diff)
+        draw_b(rng, m, pts_b)
         for a in range(0, m, _BLOCK):
-            blk = diff[:, a:a + _BLOCK]
-            blk -= pts_b[:, a:a + _BLOCK]
-            k[a:a + _BLOCK] = sum(row * row for row in blk) ** (-0.5 * alpha)
+            blk = diff[a:a + _BLOCK]
+            blk -= pts_b[a:a + _BLOCK]
+            k[a:a + _BLOCK] = sum(col * col for col in blk.T) ** (-0.5 * alpha)
         s1.append(float(k.sum()))
-        s2.append(float((k * k).sum()))
+        k *= k
+        s2.append(float(k.sum()))
     total1 = math.fsum(s1)
     total2 = math.fsum(s2)
     mean = total1 / n_samples

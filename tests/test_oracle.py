@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from isoshape.errors import (
     DegenerateAnnulusError,
     MassPreconditionError,
     OutOfBoundsError,
+    OverlapError,
     ResolutionError,
     ValidationError,
 )
@@ -156,6 +158,15 @@ def test_mc_riesz_validates_before_sampling(monkeypatch):
                  (disk, raster, 0.5, 1_000_000, 7)):
         with pytest.raises(ValidationError, match="lattice_riesz"):
             mc_riesz(*args)
+    # overlapping components would be sampled as if disjoint: two disks
+    # 0.3 apart read 4.03 where each alone reads 1.05
+    g2 = make_grid(2, 64)
+    overlap = Configuration((make_ball(0.5, np.zeros(2), g2),
+                             make_ball(0.5, np.array([0.3, 0.0]), g2)))
+    for args in ((overlap, None, 0.5, 1_000_000, 1),
+                 (disk, overlap, 0.5, 1_000_000, 1)):
+        with pytest.raises(OverlapError):
+            mc_riesz(*args)
 
 
 # (estimate, standard error) of mc_riesz, frozen bit for bit: any change
@@ -182,6 +193,50 @@ def test_mc_riesz_frozen_stream():
     for name, (set_a, set_b, alpha, seed) in cases.items():
         got = mc_riesz(set_a, set_b, alpha, 1_000_000, seed)
         assert got == MC_FROZEN[name], name
+
+
+# frozen before the samplers drew into reused point buffers, on the paths
+# MC_FROZEN leaves out: retry passes of more than 1024 samples (strongly
+# non-round stars), a d=3 configuration's components drawn into row
+# slices and then permuted, and a last chunk of 5 samples
+MC_FROZEN_PATHS = {
+    "star d=2": (1.584567239743452, 0.0006868906535090032),
+    "star d=3": (1.9156402435358837, 0.0014229571958010794),
+    "config d=3": (2.1002084937039283, 0.0017457179958598789),
+    "short chunk": (11.834941311084103, 0.0049000257167886325),
+}
+
+
+def test_mc_riesz_frozen_stream_paths():
+    g3 = make_grid(3, 12)
+    star3 = random_star(np.random.default_rng(33), n=12, d=3, amp=0.3)
+    cases = {
+        "star d=2": (random_star(np.random.default_rng(31), n=64, d=2,
+                                 amp=0.3), 0.5, 1_000_000, 10),
+        "star d=3": (random_star(np.random.default_rng(32), n=12, d=3,
+                                 amp=0.3), 1.0, 1_000_000, 11),
+        "config d=3": (Configuration((star3, make_ball(
+            0.3, np.array([1.5, 0.0, 0.1]), g3))), 1.0, 1_000_000, 12),
+        "short chunk": (make_ball(1.0, np.array([0.1, -0.05]),
+                                  make_grid(2, 64)), 0.5, 2 ** 20 + 5, 13),
+    }
+    for name, (obj, alpha, n_samples, seed) in cases.items():
+        got = mc_riesz(obj, None, alpha, n_samples, seed)
+        assert got == MC_FROZEN_PATHS[name], name
+
+
+def test_mc_riesz_working_set():
+    # two (2^19, 3) point buffers and the kernel hold 28 MiB; a draw's
+    # uniforms and the block temporaries come on top (38.8 MiB in all),
+    # where fresh arrays for every draw reach 70.7 MiB
+    ball = make_ball(1.0, np.zeros(3), make_grid(3, 12))
+    tracemalloc.start()
+    try:
+        mc_riesz(ball, None, 1.0, 1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [64, 256])
