@@ -538,7 +538,14 @@ def perimeter_gradient(shape: StarShape, params: EnergyParams):
         dd_dc_fac = np.zeros_like(r)
     else:
         ny = _norms(y)
-        dd_dc_fac = params.p * ny ** (params.p - 2.0)
+        at0 = ny == 0.0
+        if params.p <= 1.0 and at0.any():
+            raise ValidationError(
+                f"a boundary node lies on the origin, where the density "
+                f"|x|^p with p = {params.p} has no derivative")
+        # for p > 1, |y|^p has derivative 0 at the origin
+        dd_dc_fac = params.p * np.where(at0, 1.0, ny) ** (params.p - 2.0)
+        dd_dc_fac[at0] = 0.0
         dd_dr = dd_dc_fac * np.einsum("ij,ij->i", y, g.nodes)
     base = w * dens * r ** (d - 2)
     gr = w * dd_dr * r ** (d - 2) * slant

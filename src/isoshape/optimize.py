@@ -31,7 +31,7 @@ Descent directions are preconditioned by the H^1 metric
 (M + D^T M D)^{-1} on each radial block, which evens out the k^2
 stiffness of high angular modes.  The operator is assembled
 from the grid's own tangential stencils (``SphereGrid.grad_components``
-applied to the columns of the identity), so u^T (M + D^T M D) u is
+applied to unit vectors), so u^T (M + D^T M D) u is
 the H^1 norm that ``asphericity`` measures.  Its Cholesky factor is
 built once per grid, checked for non-finite entries then, made
 read-only and kept in a weak map keyed by the grid, so every run on
@@ -247,23 +247,39 @@ def _volume_gradient(shape: StarShape):
 
 def _h1_operator(grid: SphereGrid):
     """Dense M + sum_k D_k^T M D_k, with D_k the matrices of the grid's
-    tangential components, read off from the columns of the identity."""
+    tangential components, read off one unit vector at a time.
+
+    Only one D_k is dense at a time, and the running sum is kept as its
+    nonzeros between products, so the build holds at most three N x N
+    arrays.  H is the dense sum diag(w) + P_0 + ... bit for bit.
+    """
     n = grid.n_nodes
     w = grid.weights
-    D = np.empty((grid.d - 1, n, n))
-    for j, e in enumerate(np.eye(n)):
-        D[:, :, j] = grid.grad_components(e)
-    H = np.diag(w)
-    for Dk in D:
-        H += (Dk.T * w) @ Dk
+    e = np.zeros(n)
+    rows = cols = np.arange(n)
+    vals = w
+    for k in range(grid.d - 1):
+        if k:
+            rows, cols = np.nonzero(H)
+            vals = H[rows, cols]
+            del H
+        Dk = np.empty((n, n))
+        for j in range(n):
+            e[j] = 1.0
+            Dk[:, j] = grid.grad_components(e)[k]
+            e[j] = 0.0
+        H = (Dk.T * w) @ Dk
+        del Dk
+        H += 0.0   # the signed zeros of 0.0 + H
+        H[rows, cols] += vals
     return H
 
 
 # Largest node count N of a grid that a descent accepts.  Building the
-# dense operator and its Cholesky factor peaks at about 6 N^2 doubles:
-# 197 MiB at d=3 n=32 (N = 2048) and 984 MiB at d=3 n=48 (N = 4608),
-# measured as peak RSS above the import with one BLAS thread.  The cap
-# admits d=3 n=48; d=3 n=128 would need 48 GiB.
+# dense operator and its Cholesky factor peaks at about 3.1 N^2 doubles:
+# 103 MiB at d=3 n=32 (N = 2048) and 501 MiB at d=3 n=48 (N = 4608),
+# peak RSS growth with one BLAS thread (demos/h1_memory.py).  The cap
+# admits d=3 n=48; d=3 n=128 would need 25 GiB.
 H1_MAX_NODES = 4608
 
 
@@ -273,7 +289,7 @@ def _check_grid_size(grid: SphereGrid):
     if N > H1_MAX_NODES:
         raise GridTooLargeError(
             f"the dense H1 preconditioner of a grid of N = {N} nodes needs "
-            f"about {48 * N * N} bytes; a descent accepts at most "
+            f"about {25 * N * N} bytes; a descent accepts at most "
             f"{H1_MAX_NODES} nodes, so lower --n")
 
 

@@ -12,6 +12,7 @@ from isoshape.energy import (
     interaction,
     pair_potential_field,
     pair_sum,
+    perimeter_gradient,
     potential,
     riesz_self,
     riesz_sums,
@@ -62,6 +63,55 @@ def test_perimeter_homogeneity():
             for t in (0.5, 2.0):
                 got = weighted_perimeter(dilate(shape, t), params)
                 assert got == pytest.approx(t ** (d - 1 + p) * base, rel=1e-9)
+
+
+def _disk_through_origin():
+    # unit-area disk centered at (-R, 0): its node at theta = 0 lies
+    # exactly on the origin
+    grid = make_grid(2, 20)
+    R = math.pi ** -0.5
+    shape = StarShape(grid=grid, center=np.array([-R, 0.0]),
+                      radii=np.full(grid.n_nodes, R))
+    (i0,) = np.flatnonzero(np.linalg.norm(shape.points, axis=1) == 0.0)
+    return shape, i0
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_perimeter_gradient_rejects_a_node_on_the_origin(p):
+    # |y|^p has no derivative at y = 0 for p <= 1
+    shape, _ = _disk_through_origin()
+    params = EnergyParams(d=2, p=p, alpha=1.0, gamma=0.5)
+    assert math.isfinite(weighted_perimeter(shape, params))
+    with pytest.raises(ValidationError, match="origin"):
+        perimeter_gradient(shape, params)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_perimeter_gradient_at_a_node_on_the_origin(p):
+    # for p > 1 the derivative of |y|^p at y = 0 is 0: the gradient is
+    # finite and matches central differences, at that node too
+    shape, i0 = _disk_through_origin()
+    params = EnergyParams(d=2, p=p, alpha=1.0)
+    gr, gc = perimeter_gradient(shape, params)
+    assert np.isfinite(gr).all() and np.isfinite(gc).all()
+    h = 1e-6
+
+    def central(dc, dr):
+        def P(s):
+            return weighted_perimeter(
+                StarShape(grid=shape.grid, center=shape.center + s * dc,
+                          radii=shape.radii + s * dr), params)
+        return (P(h) - P(-h)) / (2 * h)
+
+    for i in (i0, i0 + 1, i0 + 7):
+        dr = np.zeros(shape.grid.n_nodes)
+        dr[i] = 1.0
+        assert gr[i] == pytest.approx(central(np.zeros(2), dr),
+                                      rel=1e-7, abs=1e-9)
+    for k in range(2):
+        dc = np.zeros(2)
+        dc[k] = 1.0
+        assert gc[k] == pytest.approx(central(dc, 0.0), rel=1e-7, abs=1e-9)
 
 
 def test_volume_quadrature_weights():

@@ -184,6 +184,21 @@ def test_h1_factor_is_read_only_and_the_solve_checks_its_rhs():
             _h1_solve(grid, rhs[:, 1].copy())
 
 
+def _run_in_child(code, threads):
+    """stdout of a Python child running code on this tree's src with
+    the given number of BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    t = str(threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t,
+               MKL_NUM_THREADS=t,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_two_column_h1_solve_does_not_depend_on_two_blas_threads():
     # the descent solves its gradient and volume normal as one block; at
     # two OpenBLAS threads the block must still give the bits of two
@@ -198,14 +213,7 @@ def test_two_column_h1_solve_does_not_depend_on_two_blas_threads():
         "    cols = [_h1_solve(grid, B[:, j].copy()) for j in range(2)]\n"
         "    print(d, n, np.array_equal(_h1_solve(grid, B),\n"
         "                               np.column_stack(cols)))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "2 128 True\n3 16 True\n"
+    assert _run_in_child(code, threads=2) == "2 128 True\n3 16 True\n"
 
 
 @pytest.mark.parametrize("d,n", [(2, 20), (2, 25), (3, 8)])
@@ -553,8 +561,83 @@ def test_h1_operator_is_the_asphericity_norm(d, n):
         assert float(u @ H @ u) == pytest.approx(norm, rel=1e-12)
 
 
+def _dense_h1_operator(grid):
+    # the reference build: both stencil matrices at once, read off the
+    # columns of the identity, and full products summed onto diag(w)
+    n = grid.n_nodes
+    w = grid.weights
+    D = np.empty((grid.d - 1, n, n))
+    for j, e in enumerate(np.eye(n)):
+        D[:, :, j] = grid.grad_components(e)
+    H = np.diag(w)
+    for Dk in D:
+        H += (Dk.T * w) @ Dk
+    return H
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 25), (2, 64), (2, 128),
+                                 (3, 8), (3, 12), (3, 16), (3, 20)])
+def test_h1_operator_is_the_dense_build_bit_for_bit(d, n):
+    # signed zeros and memory layout included: cho_factor sees the
+    # operands of the dense build
+    from isoshape.optimize import _h1_operator
+    grid = make_grid(d, n)
+    H, ref = _h1_operator(grid), _dense_h1_operator(grid)
+    assert H.flags.c_contiguous and ref.flags.c_contiguous
+    assert H.tobytes() == ref.tobytes()
+
+
+def test_h1_operator_build_peaks_at_3_5_matrices():
+    # one product's two operands and its result, N^2 doubles each, plus
+    # the running sum as nonzeros; the dense build peaked at 6.0 N^2
+    # doubles
+    import tracemalloc
+    from isoshape.optimize import _h1_operator
+    grid = make_grid(3, 20)
+    N = grid.n_nodes
+    tracemalloc.start()
+    try:
+        _h1_operator(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * N * N
+
+
+def test_h1_operator_does_not_depend_on_the_blas_thread_count():
+    # only the LAPACK factor of the operator moves with the thread count
+    code = (
+        "import hashlib\n"
+        "from isoshape.geometry import make_grid\n"
+        "from isoshape.optimize import _h1_operator\n"
+        "for d, n in ((2, 128), (3, 12)):\n"
+        "    H = _h1_operator(make_grid(d, n))\n"
+        "    print(d, n, hashlib.sha256(H.tobytes()).hexdigest())\n")
+    one, two = (_run_in_child(code, threads=t) for t in (1, 2))
+    assert len(one.splitlines()) == 2
+    assert one == two
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5])
+def test_minimize_from_a_boundary_node_on_the_origin(p):
+    # p <= 1: a typed error that names the origin, not cho_solve's
+    # ValueError on a NaN gradient; p > 1: the descent runs
+    grid = make_grid(2, 20)
+    R = math.pi ** -0.5
+    start = StarShape(grid=grid, center=np.array([-R, 0.0]),
+                      radii=np.full(grid.n_nodes, R))
+    params = EnergyParams(d=2, p=p, alpha=1.0, gamma=0.5)
+    opts = OptimizerOptions(max_iter=5)
+    if p <= 1.0:
+        with pytest.raises(ValidationError, match="origin"):
+            minimize(start, params, opts)
+    else:
+        _, rec = minimize(start, params, opts)
+        assert math.isfinite(rec.energy)
+
+
 def test_descent_rejects_a_grid_too_large_for_the_h1_operator():
-    # d=3 n=128 (N = 32768 nodes): the dense operator would need 48 GiB.
+    # d=3 n=128 (N = 32768 nodes): the dense operator would need 25 GiB.
     # Both calls raise at once, before any Riesz sum; d=3 n=48 is admitted
     from isoshape.optimize import H1_MAX_NODES, _check_grid_size
     grid = make_grid(3, 128)
@@ -633,12 +716,5 @@ def test_sweep_frozen_reference(d, n, init, gammas, rows):
         f" alpha=1.0), make_grid({d}, {n}),"
         f" OptimizerOptions(max_iter=60, init={init!r}))\n"
         "sys.stdout.write(records_to_csv(records))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "\n".join([SWEEP_CSV_HEADER, *rows]) + "\n"
+    assert (_run_in_child(code, threads=1)
+            == "\n".join([SWEEP_CSV_HEADER, *rows]) + "\n")
