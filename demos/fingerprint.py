@@ -9,20 +9,6 @@ and diff the two outputs:
     PYTHONPATH=/tmp/parent/src python3 demos/fingerprint.py > old.txt
     diff old.txt new.txt
 
-The descents also depend on the BLAS thread count: the LAPACK Cholesky
-factor of the H^1 preconditioner differs bitwise between one and two
-OpenBLAS threads at d=3 and at d=2 n=128, so the two d=3 descents
-print different lines.  The operator itself is the same under both
-(tests/test_optimize.py checks it at d=2 n=128 and d=3 n=12); only
-the factorization moves.  To see which lines a thread count moves, run
-the script under both and diff:
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/fingerprint.py > t1.txt
-    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python3 demos/fingerprint.py > t2.txt
-    diff t1.txt t2.txt
-
-Compare a tree with its parent under the same thread count.
-
 One line per fingerprint:
 
 - minimize: iterations, converged, repr(energy), repr(asphericity) and

@@ -1,18 +1,22 @@
-"""Time and memory of the dense H^1 preconditioner on d=3 grids.
+"""Time and memory of d=3 descents with the spectral H^1 solve.
 
-A descent builds the operator M + sum_k D_k^T M D_k of its grid once
-and factors it with ``cho_factor``; this script does the same, once per
-d=3 grid n in {16, 24, 32, 48} (N = 2 n^2 nodes; n = 48 is
-``optimize.H1_MAX_NODES``), each in a fresh child process, and prints:
+For each d=3 grid n in {16, 32, 48, 64} (N = 2 n^2 nodes), in a fresh
+child process, the script prints:
 
-- the seconds of the build and of the factorization;
-- the growth of the child's peak RSS (``ru_maxrss``) over the build and
-  the factorization, in MiB and in N^2 doubles.
+- the seconds of the grid's per-mode inverse blocks
+  (``SphereGrid.h1_inverse``), of one objective, of one shape gradient
+  and of one band cut and H^1 solve of the two-column descent block;
+- one full descent at gamma = 1 from the mode-2 perturbed ball
+  (eps = 0.2, p = 2, alpha = 1): its iterations, whether it converged,
+  and its seconds;
+- the growth of the child's peak RSS (``ru_maxrss``) from after the
+  import and the grid to the end of the descent, in MiB.
 
-The growth is measured from after the import and the grid, so it counts
-the operator, its factor and the build's temporaries.  n = 48 needs
-about 0.5 GiB.  To compare two trees, run the script on each under the
-same BLAS thread count:
+n = 64 takes a minute or two.  n = 128, the CLI default, is not in the
+default list: one objective takes about 3 s, one gradient 10 s and one
+descent iteration 14 s (one BLAS thread), so its descent runs for many
+minutes.  To compare two trees, run the script on each under the same
+BLAS thread count:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/h1_memory.py
 
@@ -24,27 +28,42 @@ import sys
 
 CHILD = """
 import resource, time
-from scipy.linalg import cho_factor
-from isoshape.geometry import make_grid
-from isoshape.optimize import _h1_operator
+import numpy as np
+from isoshape.energy import frozen_rule
+from isoshape.geometry import EnergyParams, make_grid
+from isoshape.optimize import (OptimizerOptions, _cut_and_solve,
+                               _objective, build_initial_config, minimize,
+                               shape_gradient)
 
 grid = make_grid(3, {n})
-N = grid.n_nodes
+params = EnergyParams(d=3, p=2.0, alpha=1.0, gamma=1.0)
+init = build_initial_config(params, grid, ("perturbed-ball", 0.2, 2))
 rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.perf_counter()
-H = _h1_operator(grid)
+grid.h1_inverse
 t1 = time.perf_counter()
-factor = cho_factor(H)
+vq = frozen_rule(init, params)
 t2 = time.perf_counter()
-grow = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0) * 1024
-print(f"{n:4d} {{N:6d}} {{t1 - t0:9.2f}} {{t2 - t1:9.2f}} "
-      f"{{grow / 2**20:10.1f}} {{grow / (8 * N * N):9.2f}}")
+_objective(init, params, vq)
+t3 = time.perf_counter()
+shape_gradient(init, params, vq)
+t4 = time.perf_counter()
+block = np.ones((grid.n_nodes + 3, 2))
+_cut_and_solve(init, block)
+t5 = time.perf_counter()
+_, rec = minimize(init, params, OptimizerOptions())
+t6 = time.perf_counter()
+grow = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss0) / 1024
+print(f"{n:4d} {{grid.n_nodes:6d}} {{t1 - t0:8.3f}} {{t3 - t2:8.2f}} "
+      f"{{t4 - t3:8.2f}} {{(t5 - t4) * 1e3:8.1f}} {{rec.iterations:6d}} "
+      f"{{int(rec.converged):5d}} {{t6 - t5:9.1f}} {{grow:8.1f}}")
 """
 
 
 def main(ns):
-    print(f"{'n':>4} {'N':>6} {'build_s':>9} {'factor_s':>9} "
-          f"{'rss_MiB':>10} {'N^2_dbl':>9}")
+    print(f"{'n':>4} {'N':>6} {'build_s':>8} {'obj_s':>8} {'grad_s':>8} "
+          f"{'solve_ms':>8} {'iters':>6} {'conv':>5} {'descent_s':>9} "
+          f"{'rss_MiB':>8}")
     for n in ns:
         run = subprocess.run([sys.executable, "-c", CHILD.format(n=n)],
                              capture_output=True, text=True)
@@ -54,4 +73,4 @@ def main(ns):
 
 
 if __name__ == "__main__":
-    main([int(a) for a in sys.argv[1:]] or [16, 24, 32, 48])
+    main([int(a) for a in sys.argv[1:]] or [16, 32, 48, 64])

@@ -20,8 +20,6 @@ Configuration comes from an optional JSON file (--config) plus flags;
 flags override file values, unknown file keys are rejected, and every
 parse error names the offending key and the violated constraint.
 Defaults: d=2, p=2, alpha=1, gamma=0.01, n=128, seed=0, max_iter=2000.
-The descents of minimize and sweep accept grids of at most
-optimize.H1_MAX_NODES nodes, so at d=3 they need --n <= 48.
 
 Exit codes: 0 success, 1 check violation, 2 usage or configuration
 error, 3 numerical failure during a run.  CSV output uses '.' decimal

@@ -21,10 +21,6 @@ class CriticalExponentError(ValidationError):
     """gamma <-> mass map requested at the critical exponent p* = d - alpha + 1."""
 
 
-class GridTooLargeError(ValidationError):
-    """Sphere grid too large for the dense H^1 preconditioner of a descent."""
-
-
 class DegenerateDeficitError(IsoshapeError):
     """Riesz deficit indistinguishable from its quadrature error bar."""
 

@@ -29,24 +29,21 @@ Riesz terms read that shape's slopes, boundary points and normals
 once; the accepted trial's gradient and the final energy reuse them.
 Descent directions are preconditioned by the H^1 metric
 (M + D^T M D)^{-1} on each radial block, which evens out the k^2
-stiffness of high angular modes.  The operator is assembled
-from the grid's own tangential stencils (``SphereGrid.grad_components``
-applied to unit vectors), so u^T (M + D^T M D) u is
-the H^1 norm that ``asphericity`` measures.  Its Cholesky factor is
-built once per grid, checked for non-finite entries then, made
-read-only and kept in a weak map keyed by the grid, so every run on
-that grid, the fresh and warm starts of a sweep included, shares it,
-and dropping the grid frees it.  Each iteration stacks the gradient and
-the volume normal as the two columns of one block: one band cut and
-one triangular solve pair per component serve both, and give the bits
-of one solve per vector.  A solve checks only its right-hand side.
+stiffness of high angular modes; with D the grid's own tangential
+stencils, u^T (M + D^T M D) u is the H^1 norm of ``asphericity``.
+The operator commutes with shifts along the uniform axis, so
+``_cut_and_solve`` gets the band cut and the exact solve from one rfft
+per radial block, with one p x p block per kept mode
+(``SphereGrid.h1_inverse``).  At d=3 n=64 (one BLAS thread) one
+objective takes 0.22 s, one gradient 0.71 s and one solve 3.5 ms.
+Each iteration transforms the gradient and the volume normal as the
+two columns of one block, bit for bit one call per vector.
 
-The descent moves only within the band of angular modes that the
-tangential stencils resolve (``_band_limited``), and a candidate with a
-radius on the floor R_MIN is rejected: the fragmentation descents at
-gamma = 100 narrow their components down to it, and the clamp would
-leave the band.  Both rules hold for either discretization of V, which
-is chosen in ``energy`` alone.
+The descent moves only within the grid's ``band`` of angular modes,
+and a candidate with a radius on the floor R_MIN is rejected: the
+fragmentation descents at gamma = 100 narrow their components down to
+it, and the clamp would leave the band.  Both rules hold for either
+discretization of V, which is chosen in ``energy`` alone.
 
 The gamma <-> m scaling maps and the energy identity they satisfy,
 
@@ -61,11 +58,9 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .energy import (
     EnergyBreakdown,
@@ -79,7 +74,6 @@ from .energy import (
 )
 from .errors import (
     CriticalExponentError,
-    GridTooLargeError,
     IsoshapeError,
     OverlapError,
     ValidationError,
@@ -224,7 +218,7 @@ def shape_gradient(config, params: EnergyParams,
     Returns one (dE/dr, dE/dc) pair per component; both arrays are the
     coordinate partial derivatives of total_energy at the frozen rule vq
     (``energy.frozen_rule``).  ``minimize`` descends along the part of
-    it within the resolved band (``_band_limited``).
+    it within the resolved band (``_cut_and_solve``).
     """
     if isinstance(config, StarShape):
         config = Configuration((config,))
@@ -239,88 +233,6 @@ def shape_gradient(config, params: EnergyParams,
 def _volume_gradient(shape: StarShape):
     g = shape.grid
     return g.weights * shape.radii ** (g.d - 1)
-
-
-# ----------------------------------------------------------------------
-# H^1 preconditioner
-# ----------------------------------------------------------------------
-
-def _h1_operator(grid: SphereGrid):
-    """Dense M + sum_k D_k^T M D_k, with D_k the matrices of the grid's
-    tangential components, read off one unit vector at a time.
-
-    Only one D_k is dense at a time, and the running sum is kept as its
-    nonzeros between products, so the build holds at most three N x N
-    arrays.  H is the dense sum diag(w) + P_0 + ... bit for bit.
-    """
-    n = grid.n_nodes
-    w = grid.weights
-    e = np.zeros(n)
-    rows = cols = np.arange(n)
-    vals = w
-    for k in range(grid.d - 1):
-        if k:
-            rows, cols = np.nonzero(H)
-            vals = H[rows, cols]
-            del H
-        Dk = np.empty((n, n))
-        for j in range(n):
-            e[j] = 1.0
-            Dk[:, j] = grid.grad_components(e)[k]
-            e[j] = 0.0
-        H = (Dk.T * w) @ Dk
-        del Dk
-        H += 0.0   # the signed zeros of 0.0 + H
-        H[rows, cols] += vals
-    return H
-
-
-# Largest node count N of a grid that a descent accepts.  Building the
-# dense operator and its Cholesky factor peaks at about 3.1 N^2 doubles:
-# 103 MiB at d=3 n=32 (N = 2048) and 501 MiB at d=3 n=48 (N = 4608),
-# peak RSS growth with one BLAS thread (demos/h1_memory.py).  The cap
-# admits d=3 n=48; d=3 n=128 would need 25 GiB.
-H1_MAX_NODES = 4608
-
-
-def _check_grid_size(grid: SphereGrid):
-    """Raise GridTooLargeError for a grid of more than H1_MAX_NODES."""
-    N = grid.n_nodes
-    if N > H1_MAX_NODES:
-        raise GridTooLargeError(
-            f"the dense H1 preconditioner of a grid of N = {N} nodes needs "
-            f"about {25 * N * N} bytes; a descent accepts at most "
-            f"{H1_MAX_NODES} nodes, so lower --n")
-
-
-# The Cholesky factor of each grid's H^1 operator, built on first use.
-_H1_FACTORS = weakref.WeakKeyDictionary()
-
-
-def _h1_solve(grid: SphereGrid, rhs: np.ndarray) -> np.ndarray:
-    """(M + D^T M D)^{-1} rhs for a vector or an (N, k) block, with the
-    grid's read-only factor from _H1_FACTORS.
-
-    The factor is checked for non-finite entries once, when it is built;
-    each call checks only rhs, and raises ValueError as ``cho_solve``
-    does.  A k-column block gives the bits of k one-column solves.
-    """
-    factor = _H1_FACTORS.get(grid)
-    if factor is None:
-        factor = _H1_FACTORS[grid] = cho_factor(_h1_operator(grid))
-        factor[0].setflags(write=False)
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return cho_solve(factor, rhs, check_finite=False)
-
-
-def _precondition(config: Configuration, v: np.ndarray) -> np.ndarray:
-    """The H^1 solve on each radial block of v, a vector or an (N, k)
-    block; centers pass through."""
-    out = v.copy()
-    for s, rows in _radial_blocks(config):
-        out[rows] = _h1_solve(s.grid, v[rows])
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -493,33 +405,34 @@ def _resolved(config: Configuration) -> bool:
     return True
 
 
-def _band_limited(config: Configuration, v: np.ndarray) -> np.ndarray:
-    """v, a vector or an (N, k) block, with the radial blocks cut to the
-    Fourier modes |k| <= m // 3 of the uniform axis (m = n angles in
-    d=2, 2n azimuths in d=3).
+def _cut_and_solve(config: Configuration, v: np.ndarray):
+    """(cut, solve) of v, a vector or an (N, k) block: the radial blocks
+    cut to the grid's ``band`` of Fourier modes on the uniform axis, in
+    which every descent moves, and the H^1 solve (M + D^T M D)^{-1} of
+    that cut.  Centers pass through both.
 
-    Every descent moves in this band only.  The central stencils
-    of ``SphereGrid.grad_components`` differentiate mode k with the
-    factor (8 sin(kh) - sin(2kh)) / (6h) in place of k: at least 62% of
-    k for k <= m/3, and 0 at k = m/2, where r_j = (-1)^j moves the
-    boundary points but neither the normals nor the perimeter.
-    Above the band the discrete perimeter misses most of the cost of a
-    ripple (d=2 n=20, mode 9: 1.6e-4 against 2.4e-3 at n=200, for
-    eps = 1e-2), so the ball is a saddle of the discrete E at gamma = 1
-    and unfiltered descents end in grid-scale zigzags.  The cut is an
-    orthogonal projection that commutes with the H^1 metric, which is
-    invariant under shifts along the uniform axis.
+    The H^1 operator commutes with shifts along the uniform axis, so
+    one rfft per radial block serves both results: the solve applies the
+    grid's ``h1_inverse`` block to each kept mode, with no BLAS call.
     """
-    out = v.copy()
+    if not np.isfinite(v).all():
+        raise ValidationError("non-finite entry in a descent vector")
+    cut, solve = v.copy(), v.copy()
     for s, rows in _radial_blocks(config):
-        g = s.grid
-        m = g.n if g.d == 2 else g.azimuth.size
-        # one transform pair over the rows of every column of the block
-        block = out[rows].T
+        m, K = s.grid.band
+        p = s.grid.n_nodes // m
+        inv = s.grid.h1_inverse
+        # one transform over the rows of every column of the block
+        block = v[rows].T
         spec = np.fft.rfft(block.reshape(-1, m), axis=1)
-        spec[:, m // 3 + 1:] = 0.0
-        out[rows] = np.fft.irfft(spec, m, axis=1).reshape(block.shape).T
-    return out
+        spec[:, K:] = 0.0
+        cut[rows] = np.fft.irfft(spec, m, axis=1).reshape(block.shape).T
+        # per mode, the real and imaginary parts through one inverse
+        parts = np.ascontiguousarray(spec[:, :K]).view(float)
+        x = np.einsum("kij,cjkr->cikr", inv, parts.reshape(-1, p, K, 2))
+        x = np.ascontiguousarray(x).view(complex).reshape(-1, K)
+        solve[rows] = np.fft.irfft(x, m, axis=1).reshape(block.shape).T
+    return cut, solve
 
 
 def _objective(config: Configuration, params: EnergyParams,
@@ -544,13 +457,10 @@ def minimize(init: Configuration, params: EnergyParams,
 
     Returns (final configuration, SweepRecord).  Hitting the iteration
     cap or a failed line search returns the best configuration found
-    with converged=False rather than raising.  A grid of more than
-    H1_MAX_NODES nodes raises GridTooLargeError before any Riesz sum.
+    with converged=False rather than raising.
     """
     if isinstance(init, StarShape):
         init = Configuration((init,))
-    for s in init.components:
-        _check_grid_size(s.grid)
     init.validate()
     vol0 = total_volume(init)
     if not 0.5 <= vol0 <= 2.0:
@@ -559,7 +469,8 @@ def minimize(init: Configuration, params: EnergyParams,
 
     # certify the start: from an overlapping one (f = inf) any finite
     # candidate would pass the line search
-    config = _project_volume(init, _band_limited(init, _pack(init))).validate()
+    config = _project_volume(init, _cut_and_solve(init, _pack(init))[0])
+    config.validate()
     f = _objective(config, params, vq)
     converged = False
     iterations = 0
@@ -570,17 +481,18 @@ def minimize(init: Configuration, params: EnergyParams,
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        # the gradient and the volume normal side by side: one band cut
-        # and one H^1 solve serve both.  Each is then copied to a
-        # contiguous row, since a strided dot product can round otherwise
-        block = _band_limited(config, np.column_stack((
+        # the gradient and the volume normal side by side: one transform
+        # gives the band cut and the H^1 solve of both.  Each is then
+        # copied to a contiguous row, since a strided dot product can
+        # round otherwise
+        cut, solve = _cut_and_solve(config, np.column_stack((
             _flatten(shape_gradient(config, params, vq)),
             _flatten([(_volume_gradient(s), np.zeros(s.grid.d))
                       for s in config.components]))))
-        g, n_vec = block.T.copy()
+        g, n_vec = cut.T.copy()
 
         # preconditioned direction, kept tangent to the constraint
-        direction, Pn = _precondition(config, block).T.copy()
+        direction, Pn = solve.T.copy()
         direction = direction - Pn * (float(n_vec @ direction)
                                       / float(n_vec @ Pn))
         g_proj = g - n_vec * (float(n_vec @ g) / float(n_vec @ n_vec))
@@ -642,9 +554,6 @@ def sweep_gamma(gamma_list, params: EnergyParams, grid: SphereGrid,
             or sorted(gammas) != gammas:
         raise ValidationError(
             "gamma list must be nonempty, finite, positive, sorted")
-    # raise here, not as inf rows from every minimize of the loop
-    _check_grid_size(grid)
-
     out = []
     prev_config = None
     for gamma in gammas:

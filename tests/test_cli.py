@@ -210,15 +210,6 @@ def test_exit_code_mapping(tmp_path, monkeypatch):
     assert main(["verify", "--out", str(tmp_path)]) == 3
 
 
-def test_grid_too_large_for_a_descent_exits_3(tmp_path, capsys):
-    # the default n = 128 at d = 3 is rejected before any Riesz sum
-    for argv in (["minimize", "--d", "3"],
-                 ["sweep", "--d", "3", "--gammas", "0.1"]):
-        assert main(argv + ["--out", str(tmp_path)]) == 3
-        assert "GridTooLargeError" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_gamma_zero_is_a_config_error(tmp_path, capsys):
     # fuglede divides by gamma and scale-check maps it to a mass: both
     # reject gamma = 0 before any work, and write no artifact
