@@ -26,6 +26,8 @@ One line per fingerprint:
 - Riesz values (riesz_self with its error bar, interaction, potential)
   in both forms, and riesz_self at d=2 n=20 and n=25, whose coarse
   levels are every other node and the trigonometric interpolant;
+- total_energy (total, Riesz error bar) of a two-component
+  configuration in both forms;
 - the Fuglede quantities (perimeter_deficit, i1_i2_split, riesz_deficit
   with its error bar, stability_ratio) of one mode and one
   random_perturbation field;
@@ -60,7 +62,7 @@ import numpy as np
 import isoshape.oracle as oracle_module
 from isoshape.cli import sweep_svg
 
-from isoshape.energy import interaction, potential, riesz_self
+from isoshape.energy import interaction, potential, riesz_self, total_energy
 from isoshape.fuglede import (
     deficit_report,
     i1_i2_split,
@@ -209,6 +211,15 @@ def riesz_values():
             rs = riesz_self(star, EnergyParams(d=2, p=2.0, alpha=alpha))
             print(f"riesz_self d=2 n={n} alpha={alpha:g}: "
                   f"({f(rs.value)}, {f(rs.error)})")
+    g = make_grid(2, 32)
+    pair = Configuration((random_star(np.random.default_rng(8), n=32, d=2,
+                                      amp=0.1, kmax=3),
+                          make_ball(0.3, np.array([2.0, 0.5]), g)))
+    for alpha in (1.0, 1.75):
+        bd = total_energy(pair, EnergyParams(d=2, p=2.0, alpha=alpha,
+                                             gamma=1.0))
+        print(f"total_energy two components d=2 n=32 alpha={alpha:g}: "
+              f"({f(bd.total)}, {f(bd.riesz_error_estimate)})")
 
 
 def fuglede_values():

@@ -11,8 +11,10 @@ with density perimeter and Riesz interaction
                         sqrt(1 + |grad_tau r_m|^2 / r_m^2) dsigma,
     V(Omega)   = int_Omega int_Omega |x - y|^{-alpha} dx dy,
 
-where a(x) = |x|^p.  V splits over components as
-sum_m V(Omega_m) + 2 sum_{m<n} I(Omega_m, Omega_n).
+where a(x) = |x|^p.  V of a configuration is one sum over the union of
+its components' nodes, which the descent minimizes and ``total_energy``
+reports with its bar; it splits as sum_m V(Omega_m) + 2 sum_{m<n}
+I(Omega_m, Omega_n) (``riesz_self``, ``interaction``) to roundoff.
 
 Two discretizations of V share the package; only alpha picks one
 (``boundary_form``).  ``frozen_rule`` builds what every Riesz evaluation
@@ -38,8 +40,9 @@ is minimized, differentiated and reported.  Its error bar is
 (``SphereGrid.coarse``) with its own tangential stencils: every other
 node of the uniform axis (angle in d=2, azimuth in d=3) with doubled
 weights, or for odd d=2 n the trigonometric interpolant of the radii
-at ceil(n/2) uniform angles.  The potential takes the single-layer form
-v(x) = -1/(d-alpha) int_dOmega |x-y|^{-alpha} (x-y) . n_y.
+at ceil(n/2) uniform angles, from one FFT pair.  The potential takes
+the single-layer form v(x) = -1/(d-alpha) int_dOmega |x-y|^{-alpha}
+(x-y) . n_y.
 
 Volume form, alpha > 3/2.  Near alpha = 2 the |t|^{2-alpha} kink of the
 boundary kernel on the diagonal makes the plain boundary sum less
@@ -86,11 +89,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import OverlapError, ValidationError
+from .errors import ValidationError
 from .geometry import (
     Configuration,
     EnergyParams,
     StarShape,
+    _as_configuration,
     _weighted_normals,
     total_volume,
 )
@@ -173,7 +177,7 @@ class VolumeQuadrature:
         The radial node count is ceil(n/2) of the finest sphere grid; h
         is half the median inter-node spacing.
         """
-        shapes = _components(obj)
+        shapes = _as_configuration(obj).components
         s, v = _gauss01(max((sh.grid.n + 1) // 2 for sh in shapes))
         spacings = np.concatenate([_cell_spacings(sh, s) for sh in shapes])
         return cls(s=s, v=v, h=0.5 * float(np.median(spacings)))
@@ -204,14 +208,6 @@ def frozen_rule(obj, params: EnergyParams) -> "VolumeQuadrature | None":
     """The rule that every Riesz evaluation of one run shares: the volume
     form's quadrature built for obj, None in the boundary form."""
     return None if boundary_form(params) else VolumeQuadrature.build(obj)
-
-
-def _components(obj):
-    if isinstance(obj, StarShape):
-        return (obj,)
-    if isinstance(obj, Configuration):
-        return obj.components
-    raise ValidationError(f"expected StarShape or Configuration, got {type(obj).__name__}")
 
 
 def _cell_spacings(shape: StarShape, s: np.ndarray) -> np.ndarray:
@@ -325,12 +321,18 @@ def _c_alpha(d: int, alpha: float) -> float:
 
 def _coarse_nodes(shape: StarShape):
     """Boundary points c + r theta and weighted normals of the grid's
-    coarse level, with its own stencils: the radii r[::2], or the
-    trigonometric interpolant E of the n radii where
-    ``SphereGrid.coarse`` has one."""
+    coarse level, with its own stencils: the radii r[::2], or for odd
+    d=2 n their trigonometric interpolant at the m = (n+1)/2 coarse
+    angles, where mode k is mode k mod m: one inverse FFT of the
+    coefficients folded onto k mod m."""
     g, r = shape.grid, shape.radii
-    coarse, E = g.coarse
-    rc = r[::2].copy() if E is None else (E @ np.fft.fft(r)).real / g.n
+    coarse = g.coarse
+    rc = r[::2].copy()
+    if g.d == 2 and g.n % 2:
+        # F[m:] holds the modes k - n = -(m-1), ..., -1
+        F, m = np.fft.fft(r), coarse.n
+        F[1:m] += F[m:]
+        rc = np.fft.ifft(F[:m]).real * (m / g.n)
     return (shape.center[None, :] + rc[:, None] * coarse.nodes,
             _weighted_normals(coarse, rc, coarse.grad_components(rc)))
 
@@ -587,23 +589,16 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
     interaction(A, B) == interaction(B, A) bit for bit.
     """
     _check_params(params, (A, B))
-    gap = (np.linalg.norm(A.center - B.center)
-           - float(A.radii.max()) - float(B.radii.max()))
-    if gap <= 0:
-        raise OverlapError(
-            "components must have disjoint bounding spheres "
-            f"(gap {gap:.3e})")
+    Configuration((A, B)).validate()
     if boundary_form(params):
-        (YA, NA), (YB, NB) = (_boundary_cloud((s,)) for s in (A, B))
-        if YB.tobytes() < YA.tobytes():
-            YA, NA, YB, NB = YB, NB, YA, NA
-        return max(boundary_sum(YA, NA, YB, NB, params.alpha), 0.0)
-    if vq is None:
-        vq = VolumeQuadrature.build(Configuration((A, B)))
-    XA, WA = vq.nodes(A)
-    XB, WB = vq.nodes(B)
-    if XB.tobytes() < XA.tobytes():
-        XA, WA, XB, WB = XB, WB, XA, WA
+        nodes = [_boundary_cloud((s,)) for s in (A, B)]
+    else:
+        if vq is None:
+            vq = VolumeQuadrature.build(Configuration((A, B)))
+        nodes = [vq.nodes(s) for s in (A, B)]
+    (XA, WA), (XB, WB) = sorted(nodes, key=lambda xw: xw[0].tobytes())
+    if boundary_form(params):
+        return max(boundary_sum(XA, WA, XB, WB, params.alpha), 0.0)
     value, _ = riesz_estimate(
         pair_sum(XA, WA, XB, WB, params.alpha, vq.levels), params)
     return max(value, 0.0)
@@ -617,7 +612,7 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
     node at x taken as 0.  Each point is summed on its own, so a batch
     of points gives the values of single calls bit for bit.
     """
-    shapes = _components(obj)
+    shapes = _as_configuration(obj).components
     _check_params(params, shapes)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != params.d:
@@ -648,24 +643,19 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
 
 def total_energy(config, params: EnergyParams,
                  vq: VolumeQuadrature | None = None) -> "EnergyBreakdown":
-    """Full breakdown of E_gamma over a configuration.
+    """Full breakdown of E_gamma over a StarShape or a Configuration.
 
-    The Riesz total is assembled from the same per-component self sums
-    and pairwise cross sums that riesz_self / interaction produce, so the
-    decomposition V = sum V_m + 2 sum_{m<n} I_mn holds exactly.
+    V (clamped at 0) and its bar are ``riesz_estimate`` of ``riesz_sums``
+    over the union of the components: V is ``riesz_value``, which the
+    descent minimizes, bit for bit, and the bar covers the cross terms.
+    V = sum V_m + 2 sum_{m<n} I_mn holds to roundoff.
     """
-    if isinstance(config, StarShape):
-        config = Configuration((config,))
-    config.validate()
-    if vq is None:
-        vq = frozen_rule(config, params)
+    config = _as_configuration(config).validate()
     comps = config.components
+    _check_params(params, comps)
     per = math.fsum(weighted_perimeter(s, params) for s in comps)
-    selfs = [riesz_self(s, params, vq) for s in comps]
-    crosses = [interaction(comps[i], comps[j], params, vq)
-               for i in range(len(comps)) for j in range(i + 1, len(comps))]
-    riesz = math.fsum([r.value for r in selfs] + [2.0 * c for c in crosses])
-    err = math.fsum(r.error for r in selfs)
+    riesz, err = riesz_estimate(riesz_sums(comps, params, vq), params)
+    riesz = max(riesz, 0.0)
     return EnergyBreakdown(
         volume=total_volume(config),
         weighted_perimeter=per,
@@ -705,7 +695,8 @@ class EnergyBreakdown:
 
 
 def _check_params(params: EnergyParams, shapes):
-    """Raise ValidationError unless every shape lives on a grid of
+    """Raise ValidationError unless shapes are one or more StarShapes of
     dimension params.d (EnergyParams itself keeps alpha in (0, d))."""
-    if any(s.grid.d != params.d for s in shapes):
-        raise ValidationError("shape dimension does not match params.d")
+    if not shapes or not all(isinstance(s, StarShape) and s.grid.d == params.d
+                             for s in shapes):
+        raise ValidationError(f"need one or more StarShapes of dimension d={params.d}")

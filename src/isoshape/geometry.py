@@ -92,20 +92,19 @@ def sphere_area(d: int) -> float:
 # finite-difference stencils
 # ----------------------------------------------------------------------
 
-def _fornberg_weights(x, x0, m=1):
-    """Derivative weights on arbitrary nodes x at the point x0.
+def _fornberg_weights(x, x0):
+    """First-derivative weights on arbitrary nodes x at the point x0.
 
-    Standard Fornberg recursion; returns an (m+1, len(x)) array whose
-    row k holds the weights of the k-th derivative.
+    Standard Fornberg recursion for derivative order 1: w[0] holds the
+    interpolation weights, w[1] the returned derivative weights.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    w = np.zeros((m + 1, n))
+    w = np.zeros((2, n))
     w[0, 0] = 1.0
     c1 = 1.0
     c4 = x[0] - x0
     for i in range(1, n):
-        mn = min(i, m)
         c2 = 1.0
         c5 = c4
         c4 = x[i] - x0
@@ -113,14 +112,12 @@ def _fornberg_weights(x, x0, m=1):
             c3 = x[i] - x[j]
             c2 *= c3
             if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
+                w[1, i] = c1 * (w[0, i - 1] - c5 * w[1, i - 1]) / c2
                 w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = (c4 * w[k, j] - k * w[k - 1, j]) / c3
+            w[1, j] = (c4 * w[1, j] - w[0, j]) / c3
             w[0, j] = c4 * w[0, j] / c3
         c1 = c2
-    return w
+    return w[1]
 
 
 def _nonuniform_d1_matrix(x):
@@ -129,7 +126,7 @@ def _nonuniform_d1_matrix(x):
     D = np.zeros((n, n))
     for i in range(n):
         lo = min(max(i - 2, 0), n - 5)
-        D[i, lo:lo + 5] = _fornberg_weights(x[lo:lo + 5], x[i], 1)[1]
+        D[i, lo:lo + 5] = _fornberg_weights(x[lo:lo + 5], x[i])
     return D
 
 
@@ -270,29 +267,27 @@ class SphereGrid:
         return ilo, edge, scale, gaps
 
     @cached_property
-    def coarse(self) -> tuple:
-        """(grid, E): the coarse level of the Riesz error bar, built once.
+    def coarse(self) -> "SphereGrid":
+        """The coarse level of the Riesz error bar, built once.
 
-        For odd d=2 n, the uniform grid of m = (n+1)/2 angles and the
-        read-only m x n matrix E of the trigonometric interpolant at its
-        angles.  Otherwise every other node of the uniform axis (the
-        angle in d=2, the azimuth in d=3), with doubled weights, and
-        E = None: that axis has even length and runs fastest in the flat
-        node order, so its coarse radii are r[::2].
+        Every other node of the uniform axis (the angle in d=2, the
+        azimuth in d=3), with doubled weights: that axis has even length
+        and runs fastest in the flat node order, so its coarse radii are
+        r[::2].  For odd d=2 n, the uniform grid of m = (n+1)/2 angles,
+        at which ``energy._coarse_nodes`` takes the trigonometric
+        interpolant of the n radii.
         """
         if self.d == 2 and self.n % 2:
             m = (self.n + 1) // 2
             theta = 2.0 * math.pi * np.arange(m) / m
-            E = np.exp(1j * np.outer(theta, np.fft.fftfreq(self.n, 1.0 / self.n)))
-            E.setflags(write=False)
             nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             return SphereGrid(d=2, n=m, nodes=nodes, theta=theta,
-                              weights=np.full(m, 2.0 * math.pi / m)), E
+                              weights=np.full(m, 2.0 * math.pi / m))
         half = dict(nodes=self.nodes[::2].copy(), weights=2.0 * self.weights[::2])
         if self.d == 2:
             return replace(self, n=self.n // 2, theta=self.theta[::2].copy(),
-                           **half), None
-        return replace(self, azimuth=self.azimuth[::2].copy(), **half), None
+                           **half)
+        return replace(self, azimuth=self.azimuth[::2].copy(), **half)
 
     @property
     def band(self) -> tuple:
@@ -504,12 +499,19 @@ def make_ball(R: float, center, grid: SphereGrid) -> StarShape:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Ordered list of star-shaped components; may be empty."""
+    """Ordered StarShapes of one dimension; may be empty."""
 
     components: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        try:
+            comps = tuple(self.components)
+        except TypeError:       # not iterable
+            comps = None
+        if comps is None or not all(isinstance(s, StarShape) for s in comps) \
+                or len({s.grid.d for s in comps}) > 1:
+            raise ValidationError("a configuration holds StarShapes of one dimension")
+        object.__setattr__(self, "components", comps)
 
     @property
     def n_components(self) -> int:
@@ -527,6 +529,17 @@ class Configuration:
                         f"<= sum of bounding radii "
                         f"{comps[i].max_radius + comps[j].max_radius:g}")
         return self
+
+
+def _as_configuration(obj) -> Configuration:
+    """obj as the one set type: a StarShape becomes the configuration of
+    that one component; anything but these two raises ValidationError."""
+    if isinstance(obj, Configuration):
+        return obj
+    if isinstance(obj, StarShape):
+        return Configuration((obj,))
+    raise ValidationError("expected a StarShape or a Configuration, got "
+                          f"{type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -555,22 +568,25 @@ class EnergyParams:
 
 def volume(shape: StarShape) -> float:
     """|Omega| = (1/d) int r^d dsigma by grid quadrature."""
+    if not isinstance(shape, StarShape):
+        raise ValidationError(f"expected a StarShape, got {type(shape).__name__}")
     d = shape.grid.d
     return float(np.dot(shape.grid.weights, shape.radii ** d)) / d
 
 
-def total_volume(config: Configuration) -> float:
-    config.validate()
-    return sum(volume(s) for s in config.components)
+def total_volume(config) -> float:
+    return sum(volume(s) for s in _as_configuration(config).validate().components)
 
 
 def dilate(obj, t: float):
-    """Dilation about the origin: scales centers and radial samples by t."""
+    """Dilation about the origin: scales centers and radial samples by t,
+    and returns the type it is given."""
     if not t > 0:
         raise ValidationError(f"dilation scale must be positive, got {t:g}")
-    if isinstance(obj, Configuration):
-        return Configuration(tuple(dilate(s, t) for s in obj.components))
-    return StarShape(grid=obj.grid, center=obj.center * t, radii=obj.radii * t)
+    out = Configuration(tuple(
+        StarShape(grid=s.grid, center=s.center * t, radii=s.radii * t)
+        for s in _as_configuration(obj).components))
+    return out if isinstance(obj, Configuration) else out.components[0]
 
 
 # ----------------------------------------------------------------------
@@ -686,10 +702,10 @@ def _inside(shape: StarShape, cols) -> np.ndarray:
     return (rho <= _radial_at(shape, [y / safe for y in cols])) | at_center
 
 
-def config_membership(config: Configuration, pts) -> np.ndarray:
+def config_membership(config, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     out = np.zeros(pts.shape[0], dtype=bool)
-    for s in config.components:
+    for s in _as_configuration(config).components:
         out |= membership(s, pts)
     return out
 
@@ -809,19 +825,16 @@ def _spline_range(shape: StarShape):
 # shape files
 # ----------------------------------------------------------------------
 
-def config_to_dict(config: Configuration) -> dict:
-    if config.n_components == 0:
+def config_to_dict(config) -> dict:
+    shapes = _as_configuration(config).components
+    if not shapes:
         raise ValidationError("cannot serialize an empty configuration")
-    d = config.components[0].grid.d
-    comps = []
-    for s in config.components:
-        if s.grid.d != d:
-            raise ValidationError("mixed dimensions in configuration")
-        comps.append({
-            "center": [float(x) for x in s.center],
-            "grid": {"kind": GRID_KIND[d], "n": int(s.grid.n)},
-            "radial": [float(r) for r in s.radii],
-        })
+    d = shapes[0].grid.d
+    comps = [{
+        "center": [float(x) for x in s.center],
+        "grid": {"kind": GRID_KIND[d], "n": int(s.grid.n)},
+        "radial": [float(r) for r in s.radii],
+    } for s in shapes]
     return {"d": d, "components": comps}
 
 

@@ -65,6 +65,7 @@ import numpy as np
 from .energy import (
     EnergyBreakdown,
     VolumeQuadrature,
+    _check_params,
     frozen_rule,
     perimeter_gradient,
     riesz_gradient,
@@ -84,6 +85,7 @@ from .geometry import (
     EnergyParams,
     SphereGrid,
     StarShape,
+    _as_configuration,
     dilate,
     make_ball,
     ray_radius,
@@ -220,8 +222,8 @@ def shape_gradient(config, params: EnergyParams,
     (``energy.frozen_rule``).  ``minimize`` descends along the part of
     it within the resolved band (``_cut_and_solve``).
     """
-    if isinstance(config, StarShape):
-        config = Configuration((config,))
+    config = _as_configuration(config)
+    _check_params(params, config.components)
     grads = [perimeter_gradient(s, params) for s in config.components]
     if params.gamma != 0.0:
         rg = riesz_gradient(config.components, params, vq)
@@ -282,9 +284,7 @@ def build_initial_config(params: EnergyParams, grid: SphereGrid,
             u = eps * np.polynomial.legendre.Legendre.basis(k)(
                 np.cos(np.repeat(grid.polar, grid.azimuth.size)))
         shape = StarShape(grid=grid, center=np.zeros(d), radii=r0 * (1.0 + u))
-        cfg = Configuration((dilate(shape, total_volume(
-            Configuration((shape,))) ** (-1.0 / d)),))
-        return cfg
+        return Configuration((dilate(shape, total_volume(shape) ** (-1.0 / d)),))
     count, spacing = int(init[1]), float(init[2])
     rb = (1.0 / (count * unit_ball_volume(d))) ** (1.0 / d)
     shapes = []
@@ -292,9 +292,7 @@ def build_initial_config(params: EnergyParams, grid: SphereGrid,
         c = np.zeros(d)
         c[0] = spacing * (i - (count - 1) / 2.0)
         shapes.append(make_ball(rb, c, grid))
-    cfg = Configuration(tuple(shapes))
-    cfg.validate()
-    return cfg
+    return Configuration(tuple(shapes)).validate()
 
 
 def asphericity(config) -> float:
@@ -305,8 +303,7 @@ def asphericity(config) -> float:
     rho/R_vol - 1 is measured in H^1(S^{d-1}).  Multi-component
     configurations and shapes not containing the origin give +inf.
     """
-    if isinstance(config, StarShape):
-        config = Configuration((config,))
+    config = _as_configuration(config)
     if config.n_components != 1:
         return math.inf
     shape = config.components[0]
@@ -459,9 +456,7 @@ def minimize(init: Configuration, params: EnergyParams,
     cap or a failed line search returns the best configuration found
     with converged=False rather than raising.
     """
-    if isinstance(init, StarShape):
-        init = Configuration((init,))
-    init.validate()
+    init = _as_configuration(init).validate()
     vol0 = total_volume(init)
     if not 0.5 <= vol0 <= 2.0:
         raise ValidationError(f"initial volume {vol0:.6f} outside [0.5, 2]")

@@ -91,9 +91,9 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    Configuration,
     EnergyParams,
     StarShape,
+    _as_configuration,
     _spline_range,
     config_membership,
     dilate,
@@ -234,8 +234,7 @@ def rasterize(obj, h: float) -> RasterSet:
     covers the rounding of a spline value, so the mask is the one the
     test gives on every cell.
     """
-    if isinstance(obj, StarShape):
-        obj = Configuration((obj,))
+    obj = _as_configuration(obj)
     if obj.n_components == 0:
         raise ValidationError("cannot rasterize an empty configuration")
     if obj.components[0].grid.d != 2:
@@ -414,13 +413,15 @@ def _sampler(obj):
 
 
 def _dimension(obj) -> int:
-    if isinstance(obj, StarShape):
-        return obj.grid.d
-    if isinstance(obj, Configuration) and obj.n_components:
-        return obj.components[0].grid.d
-    raise ValidationError(f"cannot sample from {type(obj).__name__} "
-                          "(need a StarShape or a non-empty Configuration; "
-                          "the Riesz energy of a RasterSet is lattice_riesz)")
+    """The dimension of a set to sample, a StarShape or a non-empty
+    Configuration, after its disjointness is certified (OverlapError)."""
+    try:
+        return _as_configuration(obj).validate().components[0].grid.d
+    except (ValidationError, IndexError):
+        raise ValidationError(f"cannot sample from {type(obj).__name__} "
+                              "(need a StarShape or a non-empty Configuration; "
+                              "the Riesz energy of a RasterSet is lattice_riesz)"
+                              ) from None
 
 
 def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
@@ -432,9 +433,9 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
     ``lattice_riesz``).  set_b = None estimates the self-energy V(A)
     (independent uniform pairs from A).  Returns (estimate, standard
     error); bit-identical for identical seeds.  The sample count, the
-    seed, the sets, their dimensions, alpha and the disjointness of each
-    configuration (``OverlapError``) are validated before any sampler is
-    built.
+    seed, the sets (their types, dimensions and the disjointness of each
+    configuration, ``OverlapError``) and alpha are validated before any
+    sampler is built.
     """
     for name, v in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
@@ -449,9 +450,6 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
             f"sets of dimension {d} and {_dimension(set_b)}; need equal")
     if not 0.0 < alpha < d:
         raise ValidationError(f"alpha={alpha} outside (0, {d})")
-    for obj in (set_a, set_b):
-        if isinstance(obj, Configuration):
-            obj.validate()
     draw_a, vol_a = _sampler(set_a)
     if set_b is None:
         draw_b, vol_b = draw_a, vol_a

@@ -572,10 +572,26 @@ def test_coarse_level_d2_is_the_half_grid(n):
     assert s_c == pytest.approx(s_half, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [9, 25, 257, 1025])
+def test_odd_coarse_level_is_the_trigonometric_interpolant(n):
+    # the FFT fold of _coarse_nodes against the interpolant summed term by
+    # term, with each angle j k 2 pi / m reduced mod 2 pi in integers
+    from isoshape.energy import _coarse_nodes
+    grid = make_grid(2, n)
+    m = (n + 1) // 2
+    radii = 1.0 + 0.1 * np.random.default_rng(n).standard_normal(n)
+    shape = StarShape(grid=grid, center=np.array([0.2, -0.1]), radii=radii)
+    k = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    E = np.exp(2j * math.pi * (np.outer(np.arange(m), k) % m) / m)
+    want = (E @ np.fft.fft(radii)).real / n
+    Y, _ = _coarse_nodes(shape)
+    got = np.linalg.norm(Y - shape.center, axis=1)
+    assert np.abs(got - want).max() <= 1e-14
+
+
 @pytest.mark.parametrize("d,n", [(2, 48), (2, 49), (3, 12)])
 def test_coarse_level_cache_keeps_riesz_values(d, n):
-    # the coarse grid (and the interpolation matrix of odd n) is built
-    # once per grid; values and bars on a reused grid equal those on a
+    # the coarse grid is built once per grid; values and bars on a reused grid equal those on a
     # fresh one bit for bit
     params = EnergyParams(d=d, p=2.0, alpha=1.0)
     grid = make_grid(d, n)

@@ -7,15 +7,25 @@ import math
 import numpy as np
 import pytest
 
-from isoshape.errors import OverlapError, ValidationError
+from isoshape.energy import (
+    VolumeQuadrature,
+    interaction,
+    potential,
+    riesz_self,
+    total_energy,
+    weighted_perimeter,
+)
+from isoshape.errors import IsoshapeError, OverlapError, ValidationError
 from isoshape.geometry import (
     Configuration,
+    EnergyParams,
     StarShape,
     _bilinear,
     _cubic,
     _periodic_d1,
     _spline_range,
     config_membership,
+    config_to_dict,
     dilate,
     load_configuration,
     make_ball,
@@ -30,7 +40,8 @@ from isoshape.geometry import (
     unit_ball_volume,
     volume,
 )
-from isoshape.oracle import random_star
+from isoshape.optimize import asphericity, minimize, shape_gradient
+from isoshape.oracle import mc_riesz, random_star, rasterize
 
 
 def test_grid_weights_sum_to_sphere_area():
@@ -131,6 +142,44 @@ def test_total_volume_empty_and_single():
     r0 = math.pi ** -0.5
     cfg = Configuration((make_ball(r0, np.zeros(2), g),))
     assert total_volume(cfg) == pytest.approx(1.0, rel=1e-10)
+
+
+_DISK = make_ball(math.pi ** -0.5, np.zeros(2), make_grid(2, 16))
+_FAR = make_ball(0.3, np.array([3.0, 0.0]), make_grid(2, 16))
+_BALL = make_ball(0.5, np.zeros(3), make_grid(3, 8))
+_P = EnergyParams(d=2, p=2.0, alpha=1.0, gamma=1.0)
+
+# A list is not a set, a configuration is not a shape, and a
+# configuration holds StarShapes of one dimension: each probe must raise
+# a typed error.  The last three were typed before Configuration was.
+_BAD_SET_PROBES = {
+    "total_energy-list": lambda: total_energy([_DISK], _P),
+    "shape_gradient-list": lambda: shape_gradient([_DISK], _P),
+    "minimize-list": lambda: minimize([_DISK], _P),
+    "asphericity-list": lambda: asphericity([_DISK]),
+    "rasterize-list": lambda: rasterize([_DISK], 0.1),
+    "dilate-list": lambda: dilate([_DISK], 2.0),
+    "volume-list": lambda: volume([_DISK]),
+    "total_volume-list": lambda: total_volume([_DISK]),
+    "config_membership-list": lambda: config_membership([_DISK], np.zeros(2)),
+    "config_to_dict-list": lambda: config_to_dict([_DISK]),
+    "interaction-list": lambda: interaction([_DISK], _FAR, _P),
+    "riesz_self-configuration": lambda: riesz_self(Configuration((_DISK,)), _P),
+    "weighted_perimeter-configuration":
+        lambda: weighted_perimeter(Configuration((_DISK,)), _P),
+    "volume-configuration": lambda: volume(Configuration((_DISK,))),
+    "mixed-dimension-configuration": lambda: Configuration((_DISK, _BALL)),
+    "int-component-configuration": lambda: Configuration((1, 2)),
+    "potential-list": lambda: potential([_DISK], np.zeros(2), _P),
+    "volume_quadrature-list": lambda: VolumeQuadrature.build([_DISK]),
+    "mc_riesz-list": lambda: mc_riesz([_DISK], None, 0.5, 1_000_000, 0),
+}
+
+
+@pytest.mark.parametrize("probe", list(_BAD_SET_PROBES))
+def test_bad_set_raises_a_typed_error(probe):
+    with pytest.raises(IsoshapeError):
+        _BAD_SET_PROBES[probe]()
 
 
 def test_tangential_gradient_linearity_and_const():
@@ -288,7 +337,7 @@ def test_periodic_stencil_matches_the_rolled_form(d, n):
 @pytest.mark.parametrize("d,n", [(2, 20), (2, 9), (3, 8)])
 def test_tangent_frame_is_built_once_and_read_only(d, n):
     # and the coarse level: every other node, or for odd d=2 n the
-    # uniform half grid with the interpolation matrix E
+    # uniform grid of (n+1)/2 angles
     g = make_grid(d, n)
     frame = g.tangent_frame
     again = g.tangent_frame
@@ -300,19 +349,13 @@ def test_tangent_frame_is_built_once_and_read_only(d, n):
         assert np.abs(np.einsum("ij,ij->i", e, g.nodes)).max() <= 1e-14
         with pytest.raises(ValueError):
             e[0, 0] = 0.0
-    coarse, E = g.coarse
-    assert g.coarse is g.coarse
+    coarse = g.coarse
+    assert g.coarse is coarse
     assert coarse.n_nodes == (g.n_nodes + 1) // 2
     assert abs(coarse.weights.sum() - sphere_area(d)) <= 1e-12
     with pytest.raises(dataclasses.FrozenInstanceError):
         coarse.weights = g.weights
-    if d == 2 and n % 2:
-        assert E.shape == (coarse.n, n)
-        assert not E.flags.writeable
-        with pytest.raises(ValueError):
-            E[0, 0] = 0.0
-    else:
-        assert E is None
+    if not (d == 2 and n % 2):
         assert np.array_equal(coarse.nodes, g.nodes[::2])
     if d == 3:
         cells = g.polar_cells
@@ -327,11 +370,11 @@ def test_coarse_level_d2_even_is_the_uniform_half_grid():
     # every other node of an even grid equals the fresh uniform grid of
     # n/2 angles bit for bit (built by hand: n/2 may be below 8)
     for n in range(8, 201, 2):
-        coarse, E = make_grid(2, n).coarse
+        coarse = make_grid(2, n).coarse
         m = n // 2
         theta = 2.0 * math.pi * np.arange(m) / m
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        assert E is None and coarse.n == m
+        assert coarse.n == m
         for got, want in ((coarse.theta, theta), (coarse.nodes, nodes),
                           (coarse.weights, np.full(m, 2.0 * math.pi / m))):
             assert got.tobytes() == want.tobytes(), n

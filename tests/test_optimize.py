@@ -284,15 +284,19 @@ def test_descent_returns_the_ball_not_a_zigzag(alpha, gamma):
 
 @pytest.mark.parametrize("d,n,alpha", [(2, 24, 1.0), (3, 8, 2.5)])
 def test_reported_energy_is_the_minimized_objective(d, n, alpha):
-    # boundary form (alpha = 1) and volume form (alpha = 2.5): the record
-    # reports the objective of the final configuration at the frozen rule
+    # boundary form (alpha = 1) and volume form (alpha = 2.5), from one
+    # ball and from two: the record reports the objective of the final
+    # configuration at the frozen rule, and its V is the union's
+    from isoshape.energy import riesz_value
     from isoshape.optimize import _objective
     params = EnergyParams(d=d, p=2.0, alpha=alpha, gamma=0.5)
-    init = build_initial_config(params, make_grid(d, n),
-                                ("perturbed-ball", 0.2, 2))
-    config, rec = minimize(init, params, OptimizerOptions(max_iter=40))
-    f = _objective(config, params, VolumeQuadrature.build(init))
-    assert rec.energy == pytest.approx(f, rel=1e-12)
+    for spec in (("perturbed-ball", 0.2, 2), ("multiball", 2, 2.5)):
+        init = build_initial_config(params, make_grid(d, n), spec)
+        config, rec = minimize(init, params, OptimizerOptions(max_iter=40))
+        vq = VolumeQuadrature.build(init)
+        assert config.n_components == init.n_components
+        assert rec.energy == _objective(config, params, vq), spec
+        assert rec.riesz == riesz_value(config.components, params, vq), spec
 
 
 def test_critical_exponent_values():
@@ -667,8 +671,8 @@ _FROZEN_SWEEPS = [
     ]),
     (2, 20, ("multiball", 2, 2.5), [1.0, 30.0, 100.0], [
         "1,2,1,2,4.409799400973526,1.5830829338706824,2.8267164671028433,1,2,inf,32,0",
-        "30,2,1,2,73.208567673270366,5.8304292171385494,2.2459379485377275,1,2,inf,36,0",
-        "100,2,1,2,225.83909305403805,11.861281574373589,2.1397781147966448,1,2,inf,32,0",
+        "30,2,1,2,73.208567673270352,5.8304292171385494,2.2459379485377271,1,2,inf,36,0",
+        "100,2,1,2,225.8390930540381,11.861281574373589,2.1397781147966453,1,2,inf,32,0",
     ]),
     (3, 8, ("perturbed-ball", 0.2, 2), [0.1, 1.0], [
         "0.10000000000000001,2,1,3,2.0550415100809736,1.8610514928584554,1.9399001722251836,1,1,0.00043573312708051424,53,1",

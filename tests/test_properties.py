@@ -21,8 +21,11 @@ from isoshape.cli import parse_config
 
 from isoshape.energy import (
     VolumeQuadrature,
+    boundary_form,
     interaction,
     riesz_self,
+    riesz_sums,
+    total_energy,
     weighted_perimeter,
 )
 from isoshape.errors import ConfigError
@@ -38,7 +41,7 @@ from isoshape.geometry import (
     make_grid,
     save_configuration,
 )
-from isoshape.optimize import shape_gradient
+from isoshape.optimize import _objective, shape_gradient
 from isoshape.oracle import random_star
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
@@ -98,6 +101,35 @@ def test_interaction_is_symmetric(seed, cell, frac, gap):
     b = make_ball(0.7, c, make_grid(d, n))
     params = EnergyParams(d=d, p=2.0, alpha=frac * d)
     assert interaction(a, b, params) == interaction(b, a, params)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=seeds, form=st.sampled_from([(2, 24, 1.0), (3, 8, 2.5)]),
+       gap=st.floats(min_value=0.01, max_value=2.0),
+       gamma=st.floats(min_value=0.1, max_value=100.0))
+def test_total_energy_of_two_components_is_the_objective(seed, form, gap,
+                                                         gamma):
+    # one V path, in the boundary form (alpha = 1) and the volume form
+    # (alpha = 2.5): a breakdown's total is the descent's objective bit
+    # for bit, and its bar is the union's |S_n - S_c| or Richardson term
+    d, n, alpha = form
+    rng = np.random.default_rng(seed)
+    a, b = _star(seed, d, n), _star(seed + 1, d, n)
+    u = rng.standard_normal(d)
+    u *= (a.max_radius + b.max_radius + gap) / np.linalg.norm(u)
+    b = StarShape(grid=b.grid, center=a.center + u, radii=b.radii)
+    cfg = Configuration((a, b)).validate()
+    params = EnergyParams(d=d, p=2.0, alpha=alpha, gamma=gamma)
+    vq = VolumeQuadrature.build(cfg)
+    bd = total_energy(cfg, params, vq)
+    assert math.isfinite(bd.total)
+    assert bd.total == _objective(cfg, params, vq)
+    s1, s2 = riesz_sums(cfg.components, params, vq)
+    if boundary_form(params):
+        bar = abs(s1 - s2)
+    else:
+        bar = abs((s2 - s1) / (2.0 ** min(2.0, d - alpha) - 1.0))
+    assert bd.riesz_error_estimate == bar
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
