@@ -12,11 +12,13 @@ child process, the script prints:
 - the growth of the child's peak RSS (``ru_maxrss``) from after the
   import and the grid to the end of the descent, in MiB.
 
-n = 64 takes a minute or two.  n = 128, the CLI default, is not in the
-default list: one objective takes about 3 s, one gradient 10 s and one
-descent iteration 14 s (one BLAS thread), so its descent runs for many
-minutes.  To compare two trees, run the script on each under the same
-BLAS thread count:
+With one BLAS thread on a 2-vCPU host, n = 64 takes about 6 s: one
+objective 0.22 s, one gradient 0.64 s, and a descent of 7 L-BFGS
+iterations 5.8 s, with 199 MiB of RSS growth.  n = 128, the CLI
+default, is not in the default list; it takes about 70 s: one objective
+2.8 s, one gradient 8.8 s, and a descent of 5 iterations 59 s.  To
+compare two trees, run the script on each under the same BLAS thread
+count:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/h1_memory.py
 

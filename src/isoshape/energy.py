@@ -178,6 +178,8 @@ class VolumeQuadrature:
         is half the median inter-node spacing.
         """
         shapes = _as_configuration(obj).components
+        if not shapes:
+            raise ValidationError("a volume rule needs one or more components")
         s, v = _gauss01(max((sh.grid.n + 1) // 2 for sh in shapes))
         spacings = np.concatenate([_cell_spacings(sh, s) for sh in shapes])
         return cls(s=s, v=v, h=0.5 * float(np.median(spacings)))
@@ -207,6 +209,7 @@ class VolumeQuadrature:
 def frozen_rule(obj, params: EnergyParams) -> "VolumeQuadrature | None":
     """The rule that every Riesz evaluation of one run shares: the volume
     form's quadrature built for obj, None in the boundary form."""
+    _check_params(params, _as_configuration(obj).components)
     return None if boundary_form(params) else VolumeQuadrature.build(obj)
 
 

@@ -1,9 +1,9 @@
 """Constrained minimization of E_gamma over star-shaped configurations.
 
-The optimizer is projected gradient descent with Armijo backtracking.
-A trial step must also lower the objective strictly: once
-ARMIJO_C1 t g.d is below half an ulp of f, the Armijo bound rounds to f
-itself.
+The optimizer is a limited-memory BFGS (L-BFGS) descent in the H^1
+metric with Armijo backtracking, projected onto unit volume.  A trial
+step must also lower the objective strictly: once ARMIJO_C1 t g.d is
+below half an ulp of f, the Armijo bound rounds to f itself.
 Gradients are the exact derivatives of the discrete energy: the
 perimeter part differentiates the surface quadrature sum through the
 finite-difference tangential gradient operators (using their exact
@@ -27,7 +27,7 @@ StarShape per component, so each trial's perimeter, resolvability and
 Riesz terms read that shape's slopes, boundary points and normals
 (``StarShape.slopes``, ``slope_sq``, ``points``, ``normals``), computed
 once; the accepted trial's gradient and the final energy reuse them.
-Descent directions are preconditioned by the H^1 metric
+The initial inverse Hessian of the L-BFGS step is the H^1 metric
 (M + D^T M D)^{-1} on each radial block, which evens out the k^2
 stiffness of high angular modes; with D the grid's own tangential
 stencils, u^T (M + D^T M D) u is the H^1 norm of ``asphericity``.
@@ -38,6 +38,16 @@ per radial block, with one p x p block per kept mode
 objective takes 0.22 s, one gradient 0.71 s and one solve 3.5 ms.
 Each iteration transforms the gradient and the volume normal as the
 two columns of one block, bit for bit one call per vector.
+
+Curvature pairs (s, y) come from the projected configurations and the
+band-cut, volume-projected gradients, and each pair keeps P y beside
+it, so a step needs no solve beyond the gradient's (``_two_loop``).
+The step is made tangent to the volume constraint in the H^1 metric.
+The memory is cleared when the L-BFGS step is no descent direction or
+its line search fails (the preconditioned gradient is then tried before
+the descent stops), and when a constraint (overlap, the slope cap, the
+floor) starts or stops cutting the searches short: the pairs from
+before then describe another problem.
 
 The descent moves only within the grid's ``band`` of angular modes,
 and a candidate with a radius on the floor R_MIN is rejected: the
@@ -58,6 +68,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -380,12 +391,19 @@ def _project_volume(config: Configuration, z: np.ndarray) -> Configuration:
 SLOPE_LIMIT = 2.0
 
 # A descent converges when the max-norm of the projected gradient is at
-# most G_TOL.  Armijo backtracking: a trial step t (in units of the
-# max-norm of the direction) is accepted when f drops by at least
-# ARMIJO_C1 t g.d; it is cut by SHRINK on rejection, doubled after
-# acceptance and capped at STEP_MAX.
+# most G_TOL.  Each step is a two-loop L-BFGS step (Nocedal 1980; Liu &
+# Nocedal 1989): the last MEMORY curvature pairs, with the H^1 solve P
+# scaled by s.y / y.(P y) as the initial inverse Hessian.  Armijo
+# backtracking: a trial step t (t = 1 is the full quasi-Newton step) is
+# accepted when f drops by at least ARMIJO_C1 t g.d and is cut by SHRINK
+# on rejection.  The first trial moves no radius or center by more than
+# 0.5 r_scale, or by 0.05 r_scale while the memory is empty: the step is
+# then the plain preconditioned gradient, whose length is no step length.
+# After a search that a constraint cut short, the first trial is also
+# capped at twice the accepted step; a direction that a constraint blocks
+# would otherwise halve from the full step to 1e-16 on every iteration.
 G_TOL = 1e-6
-STEP_MAX = 1.0
+MEMORY = 8
 ARMIJO_C1 = 1e-4
 SHRINK = 0.5
 
@@ -447,6 +465,45 @@ def _objective(config: Configuration, params: EnergyParams,
     return val
 
 
+def _two_loop(memory, g: np.ndarray, Pg: np.ndarray) -> np.ndarray:
+    """H g for the L-BFGS inverse Hessian H of the pairs in memory, oldest
+    first as (s, y, P y, 1 / s.y), with H0 the H^1 solve P scaled by
+    s.y / y.(P y) of the newest pair; P g is given.  The first loop keeps
+    P q beside q, so H0 q needs no solve.  An empty memory gives P g."""
+    q, Pq = g.copy(), Pg.copy()
+    coefs = []
+    for s, y, Py, rho in reversed(memory):
+        a = rho * float(s @ q)
+        q -= a * y
+        Pq -= a * Py
+        coefs.append(a)
+    if memory:
+        s, y, Py, _ = memory[-1]
+        Pq *= float(s @ y) / float(y @ Py)
+    for (s, y, _, rho), a in zip(memory, reversed(coefs)):
+        Pq += s * (a - rho * float(y @ Pq))
+    return Pq
+
+
+def _line_search(config: Configuration, f: float, direction: np.ndarray,
+                 gd: float, t: float, t_min: float,
+                 params: EnergyParams, vq: VolumeQuadrature):
+    """Armijo backtracking along -direction, whose slope is gd, from the
+    trial step t.  Returns (candidate, its f, t, whether a constraint
+    rejected a trial), or None once t reaches t_min."""
+    z = _pack(config)
+    blocked = False
+    while t > t_min:
+        cand = _project_volume(config, z - t * direction)
+        f_new = _objective(cand, params, vq)
+        if f_new < f and f_new <= f - ARMIJO_C1 * t * gd:
+            return cand, f_new, t, blocked
+        # inf: overlap, the slope cap or the floor
+        blocked = blocked or f_new == math.inf
+        t *= SHRINK
+    return None
+
+
 def minimize(init: Configuration, params: EnergyParams,
              opts: OptimizerOptions = OptimizerOptions(),
              callback=None):
@@ -472,7 +529,10 @@ def minimize(init: Configuration, params: EnergyParams,
 
     r_scale = float(np.median(np.concatenate(
         [s.radii for s in config.components])))
-    step = min(STEP_MAX, 0.05 * r_scale)
+    memory = deque(maxlen=MEMORY)
+    last = None             # (packed config, g_proj, P g_proj) of the last step
+    blocked = False         # whether a constraint cut the last search short
+    cap = math.inf          # the first-trial cap after such a search
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
@@ -485,12 +545,9 @@ def minimize(init: Configuration, params: EnergyParams,
             _flatten([(_volume_gradient(s), np.zeros(s.grid.d))
                       for s in config.components]))))
         g, n_vec = cut.T.copy()
-
-        # preconditioned direction, kept tangent to the constraint
-        direction, Pn = solve.T.copy()
-        direction = direction - Pn * (float(n_vec @ direction)
-                                      / float(n_vec @ Pn))
-        g_proj = g - n_vec * (float(n_vec @ g) / float(n_vec @ n_vec))
+        Pg, Pn = solve.T.copy()
+        c = float(n_vec @ g) / float(n_vec @ n_vec)
+        g_proj, Pg_proj = g - n_vec * c, Pg - Pn * c
         g_norm = float(np.abs(g_proj).max())
         if callback is not None:
             callback(it, f, g_norm)
@@ -498,27 +555,42 @@ def minimize(init: Configuration, params: EnergyParams,
             converged = True
             break
 
-        gd = float(g @ direction)
-        d_norm = float(np.abs(direction).max())
-        if not (gd > 0 and d_norm > 0):
-            break
-        direction /= d_norm
-        gd /= d_norm
         z = _pack(config)
-        t = step
-        accepted = False
-        while t * r_scale > 1e-16:
-            cand = _project_volume(config, z - t * direction)
-            f_new = _objective(cand, params, vq)
-            if f_new < f and f_new <= f - ARMIJO_C1 * t * gd:
-                accepted = True
+        if last is not None:
+            s, y, Py = z - last[0], g_proj - last[1], Pg_proj - last[2]
+            sy = float(s @ y)
+            if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+                memory.append((s, y, Py, 1.0 / sy))
+        last = z, g_proj, Pg_proj
+
+        # the quasi-Newton direction, kept tangent to the constraint in
+        # the H^1 metric; when it is no descent direction or its search
+        # fails, the memory is cleared and the preconditioned gradient
+        # tried before the descent stops
+        while True:
+            found = None
+            direction = _two_loop(memory, g_proj, Pg_proj)
+            direction -= Pn * (float(n_vec @ direction) / float(n_vec @ Pn))
+            gd = float(g @ direction)
+            d_norm = float(np.abs(direction).max())
+            if gd > 0 and d_norm > 0:
+                # t = 1 is the full step; t d_norm is the largest move
+                limit = (0.5 if memory else 0.05) * r_scale / d_norm
+                found = _line_search(config, f, direction, gd,
+                                     min(1.0, limit, cap),
+                                     1e-16 / (r_scale * d_norm), params, vq)
+            if found is not None or not memory:
                 break
-            t *= SHRINK
-        if not accepted:
+            memory.clear()
+        if found is None:
             break
-        config = cand
-        f = f_new
-        step = min(t * 2.0, STEP_MAX)
+        config, f, t, now_blocked = found
+        # a constraint that starts or stops cutting the searches short
+        # changes the problem that the curvature pairs describe
+        if now_blocked != blocked:
+            memory.clear()
+        blocked = now_blocked
+        cap = 2.0 * t if blocked else math.inf
 
     bd = total_energy(config, params, vq)
     record = SweepRecord(

@@ -9,6 +9,7 @@ from isoshape.energy import (
     VolumeQuadrature,
     boundary_field,
     boundary_sum,
+    frozen_rule,
     interaction,
     pair_potential_field,
     pair_sum,
@@ -122,6 +123,15 @@ def test_volume_quadrature_weights():
     assert math.fsum(W) == pytest.approx(math.pi * 1.3 ** 2, rel=1e-8)
     with pytest.raises(ValidationError):
         VolumeQuadrature(s=np.empty(0), v=np.empty(0), h=vq.h)
+
+
+def test_empty_configuration_has_no_rule():
+    empty = Configuration(())
+    with pytest.raises(ValidationError):
+        VolumeQuadrature.build(empty)
+    for alpha in (1.0, 1.75):   # the boundary and the volume form
+        with pytest.raises(ValidationError):
+            frozen_rule(empty, EnergyParams(d=2, p=2.0, alpha=alpha))
 
 
 def test_riesz_ball_frozen_reference():
