@@ -28,6 +28,9 @@ One line per fingerprint:
   levels are every other node and the trigonometric interpolant;
 - total_energy (total, Riesz error bar) of a two-component
   configuration in both forms;
+- the p = 0 weighted perimeter and the sha256 of its gradient on
+  off-center random stars at d=2 and d=3 and on a d=2 disk with a node
+  on the origin;
 - the Fuglede quantities (perimeter_deficit, i1_i2_split, riesz_deficit
   with its error bar, stability_ratio) of one mode and one
   random_perturbation field;
@@ -62,7 +65,14 @@ import numpy as np
 import isoshape.oracle as oracle_module
 from isoshape.cli import sweep_svg
 
-from isoshape.energy import interaction, potential, riesz_self, total_energy
+from isoshape.energy import (
+    interaction,
+    perimeter_gradient,
+    potential,
+    riesz_self,
+    total_energy,
+    weighted_perimeter,
+)
 from isoshape.fuglede import (
     deficit_report,
     i1_i2_split,
@@ -222,6 +232,20 @@ def riesz_values():
               f"({f(bd.total)}, {f(bd.riesz_error_estimate)})")
 
 
+def perimeters():
+    rng = np.random.default_rng(14)
+    shapes = (random_star(rng, n=32, d=2, amp=0.2, center_scale=0.3),
+              random_star(rng, n=8, d=3, amp=0.2, center_scale=0.3),
+              # the node at theta = 0 is the origin
+              make_ball(0.5, np.array([-0.5, 0.0]), make_grid(2, 32)))
+    out = []
+    for shape in shapes:
+        params = EnergyParams(d=shape.grid.d, p=0.0, alpha=1.0)
+        out.append(f"{f(weighted_perimeter(shape, params))} "
+                   f"{sha(*perimeter_gradient(shape, params))}")
+    print(f"perimeter p=0 d=2, d=3, d=2 node on the origin: {'; '.join(out)}")
+
+
 def fuglede_values():
     g = make_grid(2, 64)
     mode = mode_perturbation(g, 0.1, 3, R=1.3, p=1.5)
@@ -332,6 +356,7 @@ if __name__ == "__main__":
     ray_casts()
     tables()
     riesz_values()
+    perimeters()
     fuglede_values()
     oracles()
     rasters()

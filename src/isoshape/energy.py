@@ -72,13 +72,18 @@ error bar); the minimized value is ``riesz_value`` and its exact
 gradient ``riesz_gradient``.  The perimeter and its gradient share
 ``_perimeter_terms``.
 
-All pair sums run over fixed row blocks whose size depends only on the
-array sizes, with compensated summation of the block partials, so results
-do not depend on thread count.  A self sum evaluates each pair once, on
-the upper block triangle, and counts the pairs off the diagonal blocks
-twice.  Squared distances come from ``cdist`` in one exact pass (never
-negative, no clamp), and every block reuses buffers allocated once per
-call.
+Every value sum of either form is one ``pair_sum``, which takes the
+kernel exponent: -alpha/2 at the volume form's two lengths, and
+1 - alpha/2 at h = 0 with the weighted normals as vector weights for
+the boundary sum.  The two fields (``pair_potential_field``,
+``boundary_field``) share the upper-triangle accumulation
+``_upper_add``.  All pair sums run over fixed row blocks whose size
+depends only on the array sizes, with compensated summation of the
+block partials, so results do not depend on thread count.  A self sum
+evaluates each pair once, on the upper block triangle, and counts the
+pairs off the diagonal blocks twice.  Squared distances come from
+``cdist`` in one exact pass (never negative, no clamp), and every block
+reuses buffers allocated once per call.
 """
 
 from __future__ import annotations
@@ -178,8 +183,6 @@ class VolumeQuadrature:
         is half the median inter-node spacing.
         """
         shapes = _as_configuration(obj).components
-        if not shapes:
-            raise ValidationError("a volume rule needs one or more components")
         s, v = _gauss01(max((sh.grid.n + 1) // 2 for sh in shapes))
         spacings = np.concatenate([_cell_spacings(sh, s) for sh in shapes])
         return cls(s=s, v=v, h=0.5 * float(np.median(spacings)))
@@ -209,8 +212,19 @@ class VolumeQuadrature:
 def frozen_rule(obj, params: EnergyParams) -> "VolumeQuadrature | None":
     """The rule that every Riesz evaluation of one run shares: the volume
     form's quadrature built for obj, None in the boundary form."""
-    _check_params(params, _as_configuration(obj).components)
-    return None if boundary_form(params) else VolumeQuadrature.build(obj)
+    shapes = _as_configuration(obj).components
+    _check_params(params, shapes)
+    return _rule(shapes, params, None)
+
+
+def _rule(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
+    """The volume rule of a Riesz evaluation over shapes: None in the
+    boundary form, else vq, or the rule built from shapes when vq is
+    None."""
+    if boundary_form(params):
+        return None
+    return (VolumeQuadrature.build(Configuration(tuple(shapes)))
+            if vq is None else vq)
 
 
 def _cell_spacings(shape: StarShape, s: np.ndarray) -> np.ndarray:
@@ -266,24 +280,35 @@ def _upper_weights(W, i0: int, i1: int):
     return np.concatenate((W[i0:i1], 2.0 * W[i1:]))
 
 
-def pair_sum(XA, WA, XB, WB, alpha: float, h_levels) -> list[float]:
-    """sum_{a,b} WA_a WB_b (|XA_a - XB_b|^2 + h^2)^(-alpha/2) per h level.
+def pair_sum(XA, WA, XB, WB, e: float, h_levels) -> list[float]:
+    """sum_{a,b} WA_a . WB_b (|XA_a - XB_b|^2 + h^2)^e per h level.
 
-    A self sum (XA is XB and WA is WB) covers the upper block triangle
-    only: the row block [i0, i1) meets the columns [i0, n) with weights
-    concat(W[i0:i1], 2 W[i1:]).  Block partials are summed with fsum in a
+    The weights are 1-d (the volume form, e = -alpha/2) or one vector
+    per node (the boundary form, e = 1 - alpha/2 at h = 0).  A self sum
+    (XA is XB and WA is WB) covers the upper block triangle only: the
+    row block [i0, i1) meets the columns [i0, n) with weights
+    concat(W[i0:i1], 2 W[i1:]).  The last level is computed in place on
+    the squared distances.  Block partials are summed with fsum in a
     fixed order, so the result is independent of thread count.
     """
-    e = -alpha / 2.0
     upper = XA is XB and WA is WB
     parts = [[] for _ in h_levels]
-    for i0, i1, d2, (k,) in _blocks(XA, XB, upper, 1):
+    for i0, i1, d2, work in _blocks(XA, XB, upper, len(h_levels) - 1):
         wb = _upper_weights(WB, i0, i1) if upper else WB
-        for t, h in enumerate(h_levels):
-            np.add(d2, h * h, out=k)
+        for part, h, k in zip(parts, h_levels, work + [d2]):
+            if h:
+                np.add(d2, h * h, out=k)
             np.power(k, e, out=k)
-            parts[t].append(float(WA[i0:i1] @ (k @ wb)))
+            part.append(float(np.vdot(WA[i0:i1], k @ wb)))
     return [math.fsum(p) for p in parts]
+
+
+def _upper_add(out, k, V, i0: int, i1: int):
+    """out += k V for the row block [i0, i1) of a self sum on the upper
+    block triangle: k holds the pairs of those rows with the columns
+    [i0, n), so each feeds its row and, beyond the block, its column."""
+    out[i0:i1] += k @ V[i0:]
+    out[i1:] += k[:, i1 - i0:].T @ V[i0:i1]
 
 
 def pair_potential_field(X, W, alpha: float, h_levels):
@@ -293,8 +318,7 @@ def pair_potential_field(X, W, alpha: float, h_levels):
         phi_a = sum_b W_b (|X_a-X_b|^2+h^2)^(-alpha/2),
         G_a   = -alpha sum_b W_b (X_a-X_b) (|X_a-X_b|^2+h^2)^(-alpha/2-1).
     Each pair of the upper block triangle is evaluated once and feeds both
-    of its nodes: the row block [i0, i1) against the columns [i0, n), and
-    the transposed part of the columns beyond the block, [i1, n).
+    of its nodes (``_upper_add``).
     """
     e = -alpha / 2.0
     n, d = X.shape
@@ -302,15 +326,12 @@ def pair_potential_field(X, W, alpha: float, h_levels):
     WM = np.column_stack((W, W[:, None] * X))
     acc = [(np.zeros(n), np.zeros((n, d + 1))) for _ in h_levels]
     for i0, i1, d2, (g, k) in _blocks(X, X, True, 2):
-        b = i1 - i0
         for (phi, gm), h in zip(acc, h_levels):
             np.add(d2, h * h, out=k)
             np.power(k, e - 1.0, out=g)
             np.multiply(g, k, out=k)
-            phi[i0:i1] += k @ W[i0:]
-            phi[i1:] += k[:, b:].T @ W[i0:i1]
-            gm[i0:i1] += g @ WM[i0:]
-            gm[i1:] += g[:, b:].T @ WM[i0:i1]
+            _upper_add(phi, k, W, i0, i1)
+            _upper_add(gm, g, WM, i0, i1)
     return [(phi, -alpha * (gm[:, :1] * X - gm[:, 1:])) for phi, gm in acc]
 
 
@@ -353,19 +374,12 @@ def _boundary_cloud(shapes, coarse: bool = False):
 
 
 def boundary_sum(YA, NA, YB, NB, alpha: float) -> float:
-    """c_alpha sum_{a,b} |YA_a - YB_b|^(2-alpha) (NA_a . NB_b).
-
-    A self sum (YA is YB and NA is NB) covers the upper block triangle,
-    as pair_sum does; its diagonal terms are 0.  Block partials are
-    summed with fsum in a fixed order.
-    """
-    upper = YA is YB and NA is NB
-    parts = []
-    for i0, i1, k, _ in _blocks(YA, YB, upper, 0):
-        nb = _upper_weights(NB, i0, i1) if upper else NB
-        np.power(k, 1.0 - alpha / 2.0, out=k)
-        parts.append(float(np.vdot(NA[i0:i1], k @ nb)))
-    return _c_alpha(YA.shape[1], alpha) * math.fsum(parts)
+    """c_alpha sum_{a,b} |YA_a - YB_b|^(2-alpha) (NA_a . NB_b): the
+    pair_sum at h = 0 with the kernel exponent 1 - alpha/2.  A self sum
+    (YA is YB and NA is NB) covers the upper block triangle; its
+    diagonal terms are 0."""
+    return _c_alpha(YA.shape[1], alpha) * pair_sum(
+        YA, NA, YB, NB, 1.0 - alpha / 2.0, (0.0,))[0]
 
 
 def boundary_field(Y, N, alpha: float):
@@ -376,7 +390,8 @@ def boundary_field(Y, N, alpha: float):
         dS/dY_a = 2 c_alpha (2-alpha) sum_b |Y_a-Y_b|^(-alpha) (N_a . N_b) (Y_a-Y_b),
 
     with |Y_a-Y_a|^(-alpha) taken as 0.  Each pair of the upper block
-    triangle is evaluated once and feeds both of its nodes.
+    triangle is evaluated once and feeds both of its nodes
+    (``_upper_add``).
     """
     n, d = Y.shape
     P = np.zeros((n, d))
@@ -385,17 +400,14 @@ def boundary_field(Y, N, alpha: float):
     A = np.zeros((n, d + 1))
     Y1 = np.column_stack((np.ones(n), Y))
     for i0, i1, d2, (s, k) in _blocks(Y, Y, True, 2):
-        b = i1 - i0
         with np.errstate(divide="ignore"):
             np.power(d2, -alpha / 2.0, out=s)
-        np.fill_diagonal(s[:, :b], 0.0)
+        np.fill_diagonal(s[:, :i1 - i0], 0.0)
         np.multiply(s, d2, out=k)
-        P[i0:i1] += k @ N[i0:]
-        P[i1:] += k[:, b:].T @ N[i0:i1]
+        _upper_add(P, k, N, i0, i1)
         np.matmul(N[i0:i1], N[i0:].T, out=k)
         np.multiply(s, k, out=s)
-        A[i0:i1] += s @ Y1[i0:]
-        A[i1:] += s[:, b:].T @ Y1[i0:i1]
+        _upper_add(A, s, Y1, i0, i1)
     c = 2.0 * _c_alpha(d, alpha)
     return c * (2.0 - alpha) * (A[:, :1] * Y - A[:, 1:]), c * P
 
@@ -433,14 +445,13 @@ def riesz_sums(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
     """The two level sums of V over the union of shapes that
     riesz_estimate combines: (S_n, S_c) in the boundary form, the pair
     sums at (h, h/2) in the volume form."""
-    if boundary_form(params):
+    vq = _rule(shapes, params, vq)
+    if vq is None:
         return [boundary_sum(Y, N, Y, N, params.alpha)
                 for Y, N in (_boundary_cloud(shapes, coarse)
                              for coarse in (False, True))]
-    if vq is None:
-        vq = VolumeQuadrature.build(Configuration(tuple(shapes)))
     X, W = vq.cloud(shapes)
-    return pair_sum(X, W, X, W, params.alpha, vq.levels)
+    return pair_sum(X, W, X, W, -params.alpha / 2.0, vq.levels)
 
 
 def riesz_estimate(sums, params: EnergyParams):
@@ -474,10 +485,9 @@ def riesz_gradient(shapes, params: EnergyParams, vq: VolumeQuadrature | None):
     dV/dr_J = 2 sum_k [(d/r_J) W_Jk phi_Jk + W_Jk s_k (theta_J . G_Jk)],
     dV/dc_m = 2 sum_{a in m} W_a G_a.
     """
-    if boundary_form(params):
-        return _boundary_gradient(shapes, params.alpha)
+    vq = _rule(shapes, params, vq)
     if vq is None:
-        vq = VolumeQuadrature.build(Configuration(tuple(shapes)))
+        return _boundary_gradient(shapes, params.alpha)
     X, W = vq.cloud(shapes)
     (phi1, G1), (phi2, G2) = pair_potential_field(
         X, W, params.alpha, vq.levels)
@@ -513,11 +523,7 @@ def _perimeter_terms(shape: StarShape, params: EnergyParams):
     r = shape.radii
     slant = np.sqrt(r * r + shape.slope_sq)
     y = shape.points
-    if params.p == 0.0:
-        dens = np.ones_like(r)
-    else:
-        dens = _norms(y) ** params.p
-    return y, dens, shape.slopes, slant
+    return y, _norms(y) ** params.p, shape.slopes, slant
 
 
 def _norms(y):
@@ -538,20 +544,16 @@ def perimeter_gradient(shape: StarShape, params: EnergyParams):
     y, dens, comps, slant = _perimeter_terms(shape, params)
     g, r = shape.grid, shape.radii
     d, w = g.d, g.weights
-    if params.p == 0.0:
-        dd_dr = np.zeros_like(r)
-        dd_dc_fac = np.zeros_like(r)
-    else:
-        ny = _norms(y)
-        at0 = ny == 0.0
-        if params.p <= 1.0 and at0.any():
-            raise ValidationError(
-                f"a boundary node lies on the origin, where the density "
-                f"|x|^p with p = {params.p} has no derivative")
-        # for p > 1, |y|^p has derivative 0 at the origin
-        dd_dc_fac = params.p * np.where(at0, 1.0, ny) ** (params.p - 2.0)
-        dd_dc_fac[at0] = 0.0
-        dd_dr = dd_dc_fac * np.einsum("ij,ij->i", y, g.nodes)
+    ny = _norms(y)
+    at0 = ny == 0.0
+    if 0.0 < params.p <= 1.0 and at0.any():
+        raise ValidationError(
+            f"a boundary node lies on the origin, where the density "
+            f"|x|^p with p = {params.p} has no derivative")
+    # for p = 0 and p > 1, |y|^p has derivative 0 at the origin
+    dd_dc_fac = params.p * np.where(at0, 1.0, ny) ** (params.p - 2.0)
+    dd_dc_fac[at0] = 0.0
+    dd_dr = dd_dc_fac * np.einsum("ij,ij->i", y, g.nodes)
     base = w * dens * r ** (d - 2)
     gr = w * dd_dr * r ** (d - 2) * slant
     gr += w * dens * (d - 2) * r ** (d - 3) * slant
@@ -593,17 +595,14 @@ def interaction(A: StarShape, B: StarShape, params: EnergyParams,
     """
     _check_params(params, (A, B))
     Configuration((A, B)).validate()
-    if boundary_form(params):
-        nodes = [_boundary_cloud((s,)) for s in (A, B)]
-    else:
-        if vq is None:
-            vq = VolumeQuadrature.build(Configuration((A, B)))
-        nodes = [vq.nodes(s) for s in (A, B)]
+    vq = _rule((A, B), params, vq)
+    nodes = [_boundary_cloud((s,)) if vq is None else vq.nodes(s)
+             for s in (A, B)]
     (XA, WA), (XB, WB) = sorted(nodes, key=lambda xw: xw[0].tobytes())
-    if boundary_form(params):
+    if vq is None:
         return max(boundary_sum(XA, WA, XB, WB, params.alpha), 0.0)
     value, _ = riesz_estimate(
-        pair_sum(XA, WA, XB, WB, params.alpha, vq.levels), params)
+        pair_sum(XA, WA, XB, WB, -params.alpha / 2.0, vq.levels), params)
     return max(value, 0.0)
 
 
@@ -623,7 +622,8 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
                               f"points of dimension d={params.d}")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("non-finite point coordinate")
-    if boundary_form(params):
+    vq = _rule(shapes, params, vq)
+    if vq is None:
         Y, N = _boundary_cloud(shapes)
         vals = np.empty(len(pts))
         for t, pt in enumerate(pts):
@@ -633,11 +633,10 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
             vals[t] = ((kern @ np.einsum("ij,ij->i", diff, N))
                        / (params.alpha - params.d))
     else:
-        if vq is None:
-            vq = VolumeQuadrature.build(obj)
         X, W = vq.cloud(shapes)
-        sums = np.array([pair_sum(pt[None, :], np.ones(1), X, W, params.alpha,
-                                  vq.levels) for pt in pts]).reshape(-1, 2)
+        sums = np.array([pair_sum(pt[None, :], np.ones(1), X, W,
+                                  -params.alpha / 2.0, vq.levels)
+                         for pt in pts]).reshape(-1, 2)
         vals, _ = riesz_estimate(sums.T, params)
     if np.ndim(x) == 1:
         return float(vals[0])
@@ -698,8 +697,8 @@ class EnergyBreakdown:
 
 
 def _check_params(params: EnergyParams, shapes):
-    """Raise ValidationError unless shapes are one or more StarShapes of
-    dimension params.d (EnergyParams itself keeps alpha in (0, d))."""
-    if not shapes or not all(isinstance(s, StarShape) and s.grid.d == params.d
-                             for s in shapes):
-        raise ValidationError(f"need one or more StarShapes of dimension d={params.d}")
+    """Raise ValidationError unless shapes are StarShapes of dimension
+    params.d (EnergyParams itself keeps alpha in (0, d))."""
+    if not all(isinstance(s, StarShape) and s.grid.d == params.d
+               for s in shapes):
+        raise ValidationError(f"need StarShapes of dimension d={params.d}")

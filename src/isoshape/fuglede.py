@@ -63,6 +63,7 @@ from .geometry import (
     EnergyParams,
     SphereGrid,
     StarShape,
+    _mode_field,
     make_ball,
     unit_ball_volume,
     volume,
@@ -124,12 +125,7 @@ def mode_perturbation(grid: SphereGrid, eps: float, k: int,
     """Single-mode perturbation: eps cos(k theta) in d=2, eps P_k(cos phi) in d=3."""
     if not k >= 1:
         raise ValidationError(f"mode index k={k}; need k >= 1 (zero mean)")
-    if grid.d == 2:
-        u = eps * np.cos(k * grid.theta)
-    else:
-        u = eps * np.repeat(Legendre.basis(k)(np.cos(grid.polar)),
-                            grid.azimuth.size)
-    return Perturbation(grid=grid, u=u, R=R, p=p)
+    return Perturbation(grid=grid, u=_mode_field(grid, eps, k), R=R, p=p)
 
 
 def random_perturbation(grid: SphereGrid, rng: np.random.Generator,

@@ -371,6 +371,15 @@ def tangential_gradient(field, grid: SphereGrid) -> np.ndarray:
     return out
 
 
+def _mode_field(grid: SphereGrid, eps, k) -> np.ndarray:
+    """The single-mode field eps cos(k theta) on a d=2 grid, eps P_k(cos
+    phi) on a d=3 grid."""
+    if grid.d == 2:
+        return eps * np.cos(k * grid.theta)
+    return eps * np.repeat(np.polynomial.legendre.Legendre.basis(k)(
+        np.cos(grid.polar)), grid.azimuth.size)
+
+
 def _weighted_normals(grid: SphereGrid, r, comps) -> np.ndarray:
     """Weighted outer normals N = w r^(d-2) (r theta - sum_k D_k(r) t_k)
     of the radial graph r at the grid nodes, from its tangential
@@ -499,18 +508,19 @@ def make_ball(R: float, center, grid: SphereGrid) -> StarShape:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Ordered StarShapes of one dimension; may be empty."""
+    """One or more ordered StarShapes of one dimension."""
 
-    components: tuple = ()
+    components: tuple
 
     def __post_init__(self):
         try:
             comps = tuple(self.components)
         except TypeError:       # not iterable
-            comps = None
-        if comps is None or not all(isinstance(s, StarShape) for s in comps) \
+            comps = ()
+        if not comps or not all(isinstance(s, StarShape) for s in comps) \
                 or len({s.grid.d for s in comps}) > 1:
-            raise ValidationError("a configuration holds StarShapes of one dimension")
+            raise ValidationError("a configuration holds one or more "
+                                  "StarShapes of one dimension")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -554,6 +564,10 @@ class EnergyParams:
     def __post_init__(self):
         if self.d not in (2, 3):
             raise ValidationError(f"unsupported dimension d={self.d}")
+        for name in ("p", "alpha", "gamma"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name}={getattr(self, name)!r}; "
+                                      "need a real number")
         if not (self.p >= 0 and math.isfinite(self.p)):
             raise ValidationError(f"density exponent p={self.p}; need p >= 0")
         if not (0.0 < self.alpha < self.d):
@@ -827,8 +841,6 @@ def _spline_range(shape: StarShape):
 
 def config_to_dict(config) -> dict:
     shapes = _as_configuration(config).components
-    if not shapes:
-        raise ValidationError("cannot serialize an empty configuration")
     d = shapes[0].grid.d
     comps = [{
         "center": [float(x) for x in s.center],
@@ -890,4 +902,9 @@ def save_configuration(path, config: Configuration):
 
 def load_configuration(path) -> Configuration:
     with open(path) as fh:
-        return dict_to_config(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"shape file {path}: invalid JSON "
+                                  f"({exc})") from None
+    return dict_to_config(obj)

@@ -34,8 +34,7 @@ stencils, u^T (M + D^T M D) u is the H^1 norm of ``asphericity``.
 The operator commutes with shifts along the uniform axis, so
 ``_cut_and_solve`` gets the band cut and the exact solve from one rfft
 per radial block, with one p x p block per kept mode
-(``SphereGrid.h1_inverse``).  At d=3 n=64 (one BLAS thread) one
-objective takes 0.22 s, one gradient 0.71 s and one solve 3.5 ms.
+(``SphereGrid.h1_inverse``); README.md gives its cost at d=3 n=64.
 Each iteration transforms the gradient and the volume normal as the
 two columns of one block, bit for bit one call per vector.
 
@@ -97,6 +96,7 @@ from .geometry import (
     SphereGrid,
     StarShape,
     _as_configuration,
+    _mode_field,
     dilate,
     make_ball,
     ray_radius,
@@ -253,7 +253,8 @@ def _volume_gradient(shape: StarShape):
 # ----------------------------------------------------------------------
 
 def _count(x) -> bool:
-    return isinstance(x, numbers.Integral) and x >= 1
+    return (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+            and x >= 1)
 
 
 def _check_init(init):
@@ -288,12 +289,7 @@ def build_initial_config(params: EnergyParams, grid: SphereGrid,
     if kind == "ball":
         return Configuration((make_ball(r0, np.zeros(d), grid),))
     if kind == "perturbed-ball":
-        eps, k = float(init[1]), int(init[2])
-        if d == 2:
-            u = eps * np.cos(k * grid.theta)
-        else:
-            u = eps * np.polynomial.legendre.Legendre.basis(k)(
-                np.cos(np.repeat(grid.polar, grid.azimuth.size)))
+        u = _mode_field(grid, float(init[1]), int(init[2]))
         shape = StarShape(grid=grid, center=np.zeros(d), radii=r0 * (1.0 + u))
         return Configuration((dilate(shape, total_volume(shape) ** (-1.0 / d)),))
     count, spacing = int(init[1]), float(init[2])

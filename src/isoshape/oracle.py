@@ -235,8 +235,6 @@ def rasterize(obj, h: float) -> RasterSet:
     test gives on every cell.
     """
     obj = _as_configuration(obj)
-    if obj.n_components == 0:
-        raise ValidationError("cannot rasterize an empty configuration")
     if obj.components[0].grid.d != 2:
         raise ValidationError("rasterize supports d=2 only")
     if not h > 0:
@@ -413,13 +411,13 @@ def _sampler(obj):
 
 
 def _dimension(obj) -> int:
-    """The dimension of a set to sample, a StarShape or a non-empty
-    Configuration, after its disjointness is certified (OverlapError)."""
+    """The dimension of a set to sample, a StarShape or a Configuration,
+    after its disjointness is certified (OverlapError)."""
     try:
         return _as_configuration(obj).validate().components[0].grid.d
-    except (ValidationError, IndexError):
+    except ValidationError:
         raise ValidationError(f"cannot sample from {type(obj).__name__} "
-                              "(need a StarShape or a non-empty Configuration; "
+                              "(need a StarShape or a Configuration; "
                               "the Riesz energy of a RasterSet is lattice_riesz)"
                               ) from None
 
@@ -428,7 +426,7 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
              n_samples: int = MC_SAMPLES, seed: int = 0):
     """Monte Carlo Riesz energy V(A, B) = int_A int_B |x-y|^(-alpha).
 
-    set_a and set_b are star shapes or non-empty configurations; a
+    set_a and set_b are star shapes or configurations; a
     RasterSet raises ValidationError (its exact value is
     ``lattice_riesz``).  set_b = None estimates the self-energy V(A)
     (independent uniform pairs from A).  Returns (estimate, standard
@@ -781,10 +779,12 @@ def random_star(rng, n: int = 96, d: int = 2, amp: float = 0.12,
     return shape
 
 
-def _report(check: str, trials: int, violations: int, worst_margin: float,
-            params: dict) -> dict:
-    return {"check": check, "trials": int(trials), "violations": int(violations),
-            "worst_margin": float(worst_margin), "params": params}
+def _report(check: str, trials: int, margins, params: dict) -> dict:
+    """A corpus report: its worst margin and its violations, the margins
+    below 0."""
+    return {"check": check, "trials": int(trials),
+            "violations": int(sum(m < 0 for m in margins)),
+            "worst_margin": float(min(math.inf, *margins)), "params": params}
 
 
 def run_raster_agreement(seed: int = 0, trials: int = 20) -> dict:
@@ -801,19 +801,15 @@ def run_raster_agreement(seed: int = 0, trials: int = 20) -> dict:
     from .geometry import volume as quad_volume
     h, p = 1.0 / 512, 2.0
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    violations = 0
+    margins = []
     for _ in range(trials):
         shape = random_star(rng, n=96, d=2, amp=0.08, kmax=3)
         rs = rasterize(shape, h)
         vol, _, wper = raster_measures(rs, p)
         vq = quad_volume(shape)
         wq = weighted_perimeter(shape, EnergyParams(d=2, p=p, alpha=1.0))
-        m_vol = 0.01 - abs(vol - vq) / vq
-        m_per = 0.02 - abs(wper - wq) / wq
-        worst = min(worst, m_vol, m_per)
-        violations += int(m_vol < 0) + int(m_per < 0)
-    return _report("raster_agreement", 2 * trials, violations, worst,
+        margins += (0.01 - abs(vol - vq) / vq, 0.02 - abs(wper - wq) / wq)
+    return _report("raster_agreement", 2 * trials, margins,
                    {"h": h, "p": p, "seed": seed})
 
 
@@ -842,9 +838,7 @@ def run_mc_agreement(seed: int = 0) -> dict:
     Margin: 3 sigma - |quad - mc| in units of sigma (i.e. 3 - |z|).
     """
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    violations = 0
-    trials = 0
+    margins = []
     mc_seed = seed
     for d, n, n_shapes, alphas in MC_AGREEMENT_CELLS:
         for i in range(n_shapes):
@@ -857,11 +851,8 @@ def run_mc_agreement(seed: int = 0) -> dict:
                 quad = float(riesz_self(shape, params))
                 mc_seed += 1
                 est, se = mc_riesz(shape, None, alpha, MC_SAMPLES, mc_seed)
-                z = abs(quad - est) / se
-                worst = min(worst, 3.0 - z)
-                violations += int(z > 3.0)
-                trials += 1
-    return _report("mc_agreement", trials, violations, worst,
+                margins.append(3.0 - abs(quad - est) / se)
+    return _report("mc_agreement", len(margins), margins,
                    {"n_samples": MC_SAMPLES, "seed": seed,
                     "cells": [[d, n, k, list(a)]
                               for d, n, k, a in MC_AGREEMENT_CELLS]})
@@ -877,8 +868,7 @@ def run_v_lipschitz(seed: int = 0, trials: int = 100) -> dict:
     ``lattice_riesz``.
     """
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    violations = 0
+    margins = []
     alpha, h = 1.0, 1.0 / 128
     # Quadrature-unit-volume blobs rasterize to mass 1 + O(h^2), which
     # can tip over the |E| <= 1 precondition; shrink slightly below it.
@@ -892,9 +882,8 @@ def run_v_lipschitz(seed: int = 0, trials: int = 100) -> dict:
             shape_b = dilate(shape_b, rng.uniform(0.75, 1.0))
         b = rasterize(shape_b, h)
         lhs, bound = check_v_lipschitz(a, b, alpha)
-        worst = min(worst, bound - lhs)
-        violations += int(lhs > bound)
-    return _report("v_lipschitz", trials, violations, worst,
+        margins.append(bound - lhs)
+    return _report("v_lipschitz", trials, margins,
                    {"alpha": alpha, "lags": _LAGS, "h": h, "seed": seed})
 
 
@@ -961,8 +950,7 @@ def run_rel_isop(seed: int = 0, blobs: int = 50) -> dict:
             trials += 1
         cs.append(max(ratios))
     devs = [abs(c / cs[0] - 1.0) for c in cs[1:]]
-    worst = 0.1 - max(devs)
-    return _report("rel_isop", trials, int(worst < 0), worst,
+    return _report("rel_isop", trials, [0.1 - max(devs)],
                    {"constants": cs, "seed": seed, "blobs": blobs})
 
 
@@ -978,8 +966,7 @@ def run_en_lower_bound() -> dict:
     for m in masses:
         lhs, exp_ = check_en_lower_bound(m, p, d)
         ratios.append(lhs / exp_)
-    worst = 0.02 - abs(ratios[-1] - 1.0)
-    return _report("en_lower_bound", len(masses), int(worst < 0), worst,
+    return _report("en_lower_bound", len(masses), [0.02 - abs(ratios[-1] - 1.0)],
                    {"p": p, "d": d, "masses": masses, "ratios": ratios})
 
 

@@ -9,7 +9,6 @@ from isoshape.energy import (
     VolumeQuadrature,
     boundary_field,
     boundary_sum,
-    frozen_rule,
     interaction,
     pair_potential_field,
     pair_sum,
@@ -87,10 +86,11 @@ def test_perimeter_gradient_rejects_a_node_on_the_origin(p):
         perimeter_gradient(shape, params)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [0.0, 1.5, 2.0, 3.0])
 def test_perimeter_gradient_at_a_node_on_the_origin(p):
-    # for p > 1 the derivative of |y|^p at y = 0 is 0: the gradient is
-    # finite and matches central differences, at that node too
+    # for p = 0 and p > 1 the derivative of |y|^p at y = 0 is 0: the
+    # gradient is finite and matches central differences, at that node
+    # too
     shape, i0 = _disk_through_origin()
     params = EnergyParams(d=2, p=p, alpha=1.0)
     gr, gc = perimeter_gradient(shape, params)
@@ -126,12 +126,11 @@ def test_volume_quadrature_weights():
 
 
 def test_empty_configuration_has_no_rule():
-    empty = Configuration(())
-    with pytest.raises(ValidationError):
-        VolumeQuadrature.build(empty)
-    for alpha in (1.0, 1.75):   # the boundary and the volume form
+    # no rule, energy or file is made of an empty configuration: it
+    # cannot be built
+    for empty in ((), []):
         with pytest.raises(ValidationError):
-            frozen_rule(empty, EnergyParams(d=2, p=2.0, alpha=alpha))
+            Configuration(empty)
 
 
 def test_riesz_ball_frozen_reference():
@@ -375,6 +374,11 @@ def test_alpha_range_enforced():
         EnergyParams(d=2, p=2.0, alpha=2.5)
     with pytest.raises(ValidationError):
         EnergyParams(d=2, p=-1.0, alpha=1.0)
+    # a non-real exponent or strength is a typed error, not a TypeError
+    # from a comparison
+    for bad in ({"p": "2"}, {"alpha": None}, {"gamma": None}, {"gamma": 1j}):
+        with pytest.raises(ValidationError):
+            EnergyParams(**{"d": 2, "p": 2.0, "alpha": 1.0, **bad})
 
 
 def test_dimension_mismatch_rejected():
@@ -427,8 +431,8 @@ def test_pair_sum_matches_dense_reference(n, alpha):
     rng = np.random.default_rng(n)
     X, W = _cloud(rng, n)
     Y, V = _cloud(rng, n + 5)
-    self_sums = pair_sum(X, W, X, W, alpha, KERNEL_LEVELS)
-    cross_sums = pair_sum(X, W, Y, V, alpha, KERNEL_LEVELS)
+    self_sums = pair_sum(X, W, X, W, -alpha / 2.0, KERNEL_LEVELS)
+    cross_sums = pair_sum(X, W, Y, V, -alpha / 2.0, KERNEL_LEVELS)
     for t, h in enumerate(KERNEL_LEVELS):
         _, k, _ = _dense_pairs(X, X, alpha, h)
         assert self_sums[t] == pytest.approx(float(W @ k @ W), rel=1e-12)
@@ -456,8 +460,8 @@ def test_pair_potential_field_matches_dense_reference(n, alpha):
 def test_pair_sum_self_path_equals_cross_path(n):
     rng = np.random.default_rng(n)
     X, W = _cloud(rng, n)
-    upper = pair_sum(X, W, X, W, 1.0, KERNEL_LEVELS)
-    full = pair_sum(X, W, X.copy(), W, 1.0, KERNEL_LEVELS)
+    upper = pair_sum(X, W, X, W, -0.5, KERNEL_LEVELS)
+    full = pair_sum(X, W, X.copy(), W, -0.5, KERNEL_LEVELS)
     assert upper == pytest.approx(full, rel=1e-12)
 
 
@@ -465,10 +469,10 @@ def test_pair_kernels_are_bit_reproducible():
     rng = np.random.default_rng(7)
     X, W = _cloud(rng, 1153)
     Y, V = _cloud(rng, 200)
-    assert (pair_sum(X, W, X, W, 1.0, KERNEL_LEVELS)
-            == pair_sum(X, W, X, W, 1.0, KERNEL_LEVELS))
-    assert (pair_sum(X, W, Y, V, 1.0, KERNEL_LEVELS)
-            == pair_sum(X, W, Y, V, 1.0, KERNEL_LEVELS))
+    assert (pair_sum(X, W, X, W, -0.5, KERNEL_LEVELS)
+            == pair_sum(X, W, X, W, -0.5, KERNEL_LEVELS))
+    assert (pair_sum(X, W, Y, V, -0.5, KERNEL_LEVELS)
+            == pair_sum(X, W, Y, V, -0.5, KERNEL_LEVELS))
     first = pair_potential_field(X, W, 1.0, KERNEL_LEVELS)
     second = pair_potential_field(X, W, 1.0, KERNEL_LEVELS)
     for (phi1, G1), (phi2, G2) in zip(first, second):

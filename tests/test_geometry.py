@@ -138,7 +138,8 @@ def test_configuration_disjointness_certificate():
 
 def test_total_volume_empty_and_single():
     g = make_grid(2, 32)
-    assert total_volume(Configuration(())) == 0.0
+    with pytest.raises(ValidationError):    # no empty configuration
+        Configuration(())
     r0 = math.pi ** -0.5
     cfg = Configuration((make_ball(r0, np.zeros(2), g),))
     assert total_volume(cfg) == pytest.approx(1.0, rel=1e-10)
@@ -277,7 +278,7 @@ def _shape_file(**component):
 def test_load_rejects_invalid_file(tmp_path):
     path = tmp_path / "bad.json"
     disk = _shape_file()["components"][0]
-    for obj in (
+    bad = [json.dumps(obj) for obj in (
             _shape_file(radial=[-1.0] * 8),
             _shape_file(radial=None),
             _shape_file(center=None),
@@ -290,8 +291,11 @@ def test_load_rejects_invalid_file(tmp_path):
             _shape_file(radial=["x"] * 8),
             _shape_file(radial=["1.0"] * 8),
             _shape_file(radial=[[1.0], [1.0, 2.0]]),
-            [2]):
-        path.write_text(json.dumps(obj))
+            {"d": 2, "components": []},
+            [2])]
+    # truncated text is not JSON
+    for text in bad + [json.dumps(_shape_file())[:40], ""]:
+        path.write_text(text)
         with pytest.raises(ValidationError):
             load_configuration(path)
     # the well-formed file loads

@@ -334,7 +334,7 @@ _BAD_INIT_SPECS = (
     ("perturbed-ball", 0.1, -2), ("perturbed-ball", 0.1, 0),
     ("perturbed-ball", math.nan, 2), ("perturbed-ball", 0.1, 2.5),
     ("multiball", 0, 2.0), ("multiball", 2, -1.0), ("multiball", 2, math.inf),
-    ("ball", 1.0), "ball", None,
+    ("ball", 1.0), "ball", None, ("multiball", True, 2.5),
 )
 
 
@@ -390,7 +390,7 @@ def test_asphericity_values():
 
 
 def test_optimizer_options_validation():
-    for max_iter in (0, 1.5, "5"):
+    for max_iter in (0, 1.5, "5", True):
         with pytest.raises(ValidationError):
             OptimizerOptions(max_iter=max_iter)
     # a malformed init spec fails here, before any descent starts

@@ -147,7 +147,6 @@ def test_mc_riesz_validates_before_sampling(monkeypatch):
                  (disk, None, 2.0, 1_000_000, 7),     # alpha outside (0, d)
                  (disk, None, 0.0, 1_000_000, 7),
                  (disk, None, math.nan, 1_000_000, 7),
-                 (Configuration(()), None, 0.5, 1_000_000, 7),
                  ("disk", None, 0.5, 1_000_000, 7)):
         with pytest.raises(ValidationError):
             mc_riesz(*args)
