@@ -17,7 +17,10 @@ One line per fingerprint:
   fragmentation run;
 - asphericity and the sha256 of the ray cast of off-center random stars
   at d=2 n=64 and d=3 n=12, and of a wave whose spline overshoots its
-  nodal maximum at n in {64, 256};
+  nodal maximum at n in {64, 256}: all of their rays start from the
+  full bracket; and of near-round shapes (d=2 n=20 and d=3 n=12,
+  |c| = 1e-5, a 1e-3 ripple of mode 2), whose rays start from the
+  bracket around the estimated crossing;
 - the sha256 of the CSV and of the SVG chart of a warm-started 3-gamma
   sweep, and of a ``deficit_report`` table;
 - the sha256 of a ``save_configuration`` -> ``load_configuration``
@@ -189,6 +192,15 @@ def ray_casts():
                          radii=1.0 + 0.2 * np.cos(n // 4 * g.theta + 0.3))
         print(f"asphericity wave n={n} k={n // 4}: {f(asphericity(wave))} "
               f"rays={sha(ray_radius(wave))}")
+    out = []
+    for d, n in ((2, 20), (3, 12)):
+        g = make_grid(d, n)
+        x = g.nodes
+        mode = x[:, 0] ** 2 - x[:, 1] ** 2 if d == 2 else 1.5 * x[:, 2] ** 2 - 0.5
+        near = StarShape(grid=g, center=np.full(d, 1e-5 / np.sqrt(d)),
+                         radii=1.0 + 1e-3 * mode)
+        out.append(f"{f(asphericity(near))} rays={sha(ray_radius(near))}")
+    print(f"asphericity near-round d=2 n=20, d=3 n=12: {'; '.join(out)}")
 
 
 def tables():

@@ -39,8 +39,11 @@ Monte Carlo oracles: the radial samples are interpolated (periodic
 cubic spline for d=2, bilinear on the lat-long grid for d=3) and
 membership of a point x is the test |x - c| <= r_interp(angle(x - c)).
 The public ``membership`` and ``radial_at_directions`` check their
-input and call the unchecked ``_inside`` and ``_radial_at``, which work
-on coordinate columns; the ray cast calls ``_inside`` directly.
+input, finite rows of d coordinates, and call the unchecked ``_inside``
+and ``_radial_at``, which work on coordinate columns.  The ray cast
+calls both directly: ``_radial_at`` to estimate where each ray from the
+origin crosses the boundary, and ``_inside`` to certify a narrow
+bracket around that estimate and to bisect it.
 The bilinear kernel is table-driven: a uniform bucket table in the
 polar angle, with at most one node per bucket, gives the polar interval
 with one comparison, and the radii padded with two wrap-around azimuth
@@ -71,6 +74,11 @@ from scipy.interpolate import CubicSpline
 from .errors import OverlapError, ValidationError
 
 R_MIN = 1e-6
+
+# ray_radius: fixed-point sweeps of the crossing estimate after the
+# nodal one, and the half-width in ulps of the bracket around it
+_RAY_SWEEPS = 2
+_RAY_ULPS = 16
 
 GRID_KIND = {2: "uniform-angle", 3: "gauss-latlong"}
 
@@ -607,12 +615,22 @@ def dilate(obj, t: float):
 # continuous interpretation (shared by the raster / Monte Carlo oracles)
 # ----------------------------------------------------------------------
 
+def _rows(shape: StarShape, a, what: str) -> np.ndarray:
+    """a as an (N, d) float array of finite rows for the shape's d, or
+    ValidationError."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    d = shape.grid.d
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValidationError(f"{what}s of shape {a.shape}; need (N, {d})")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"non-finite {what}")
+    return a
+
+
 def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
-    """Interpolated radial function at arbitrary unit directions."""
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if not np.isfinite(dirs).all():
-        raise ValidationError("non-finite direction")
-    return _radial_at(shape, dirs.T)
+    """Interpolated radial function at arbitrary unit directions, given
+    as the rows of an (N, d) array."""
+    return _radial_at(shape, _rows(shape, dirs, "direction").T)
 
 
 def _radial_at(shape: StarShape, cols) -> np.ndarray:
@@ -701,9 +719,7 @@ def membership(shape: StarShape, pts) -> np.ndarray:
     One pass over the coordinate columns: the center itself has no
     direction, so it is divided by 1 and counted inside.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not np.isfinite(pts).all():
-        raise ValidationError("non-finite point")
+    pts = _rows(shape, pts, "point")
     return _inside(shape, [pts[:, k] - c for k, c in enumerate(shape.center)])
 
 
@@ -771,23 +787,64 @@ def ray_radius(shape: StarShape) -> np.ndarray:
     """Distance from the origin to the boundary along the grid nodes.
 
     Bisection on the membership test; requires the origin to lie inside.
-    The bracket is |c| + max(radii) (1 + 1e-9).  The d=2 spline can
-    overshoot the nodal maximum, so a ray still inside at that bracket
-    is cast again on the bracket from the spline's exact maximum
-    (``_spline_range``); the bilinear d=3 interpolant never exceeds the
-    nodal maximum.
+
+    Each ray t e starts from a bracket around an estimate of its
+    crossing.  The estimate is the crossing t = e.c + sqrt((e.c)^2 -
+    |c|^2 + r^2) of the ray with the sphere |x - c| = r, first at the
+    nodal radius r, then ``_RAY_SWEEPS`` more times at the interpolated
+    radius in the direction of t e - c.  A ray keeps the bracket
+    t -+ ``_RAY_ULPS`` ulp(t), clipped to [0, top], only if the
+    membership test certifies it: the test holds at its low end and
+    fails at its high end.  Every other ray falls back to the full
+    bracket [0, top], top = |c| + max(radii) (1 + 1e-9).  The certified
+    rays and the fallback rays are bisected apart, so that a few
+    fallback rays do not hold the others for their ~55 steps.  Either
+    way a radius is a flip of the test at float resolution; where the
+    computed test flips more than once within its own rounding, the two
+    brackets can pick different flips, a few ulps apart.
+
+    The d=2 spline can overshoot the nodal maximum, so a ray still
+    inside at top is cast again on the bracket from the spline's exact
+    maximum (``_spline_range``); the bilinear d=3 interpolant never
+    exceeds the nodal maximum.
     """
-    g = shape.grid
-    if not membership(shape, np.zeros((1, g.d)))[0]:
-        raise ValidationError("origin is not inside the shape; ray cast undefined")
-    c_norm = float(np.linalg.norm(shape.center))
+    if not isinstance(shape, StarShape):
+        raise ValidationError(f"expected a StarShape, got {type(shape).__name__}")
+    g, c = shape.grid, shape.center
+    m = g.n_nodes
+    c_norm = float(np.linalg.norm(c))
     e = [np.ascontiguousarray(g.nodes[:, k]) for k in range(g.d)]
     top = c_norm + shape.max_radius * (1.0 + 1e-9)
-    lo, hi = _bisect(shape, e, np.zeros(g.n_nodes), np.full(g.n_nodes, top))
+    ec = sum(ek * ck for ek, ck in zip(e, c))
+    q = ec * ec - c_norm * c_norm
+
+    def crossing(r):
+        return ec + np.sqrt(np.maximum(q + r * r, 0.0))
+
+    t = crossing(shape.radii)
+    for _ in range(_RAY_SWEEPS):
+        cols = [t * ek - ck for ek, ck in zip(e, c)]
+        rho = np.sqrt(sum(y * y for y in cols))
+        rho[rho == 0.0] = 1.0
+        t = crossing(_radial_at(shape, [y / rho for y in cols]))
+    width = _RAY_ULPS * np.spacing(np.abs(t))
+    lo = np.clip(t - width, 0.0, top)
+    hi = np.clip(t + width, 0.0, top)
+    # one test of the origin, the low ends and the high ends
+    ends = np.concatenate(([0.0], lo, hi))
+    inside = _inside(shape, [ends * np.concatenate(([0.0], ek, ek)) - ck
+                             for ek, ck in zip(e, c)])
+    if not inside[0]:
+        raise ValidationError("origin is not inside the shape; ray cast undefined")
+    ok = inside[1:m + 1] & ~inside[m + 1:]
+    lo[~ok], hi[~ok] = 0.0, top
+    for k in (np.flatnonzero(ok), np.flatnonzero(~ok)):
+        if k.size:
+            lo[k], hi[k] = _bisect(shape, [ek[k] for ek in e], lo[k], hi[k])
     if g.d == 2:
         # only a ray whose upper end never moved can be clamped
-        k = np.nonzero(hi == top)[0]
-        k = k[_inside(shape, [top * ek[k] - c for ek, c in zip(e, shape.center)])]
+        k = np.flatnonzero(hi == top)
+        k = k[_inside(shape, [top * ek[k] - ck for ek, ck in zip(e, c)])]
         if k.size:
             wide = c_norm + _spline_range(shape)[1] * (1.0 + 1e-9)
             lo[k], hi[k] = _bisect(shape, [ek[k] for ek in e],

@@ -208,15 +208,15 @@ def _scaling_exponent(params: EnergyParams) -> float:
 
 def gamma_to_mass(gamma: float, params: EnergyParams) -> float:
     """m = gamma^(-d/(p + alpha - d - 1))."""
-    if not gamma > 0:
-        raise ValidationError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValidationError("gamma must be positive and finite")
     return gamma ** (-params.d / _scaling_exponent(params))
 
 
 def mass_to_gamma(m: float, params: EnergyParams) -> float:
     """gamma = m^(-(p + alpha - d - 1)/d)."""
-    if not m > 0:
-        raise ValidationError("mass must be positive")
+    if not (m > 0 and math.isfinite(m)):
+        raise ValidationError("mass must be positive and finite")
     return m ** (-_scaling_exponent(params) / params.d)
 
 

@@ -237,8 +237,8 @@ def rasterize(obj, h: float) -> RasterSet:
     obj = _as_configuration(obj)
     if obj.components[0].grid.d != 2:
         raise ValidationError("rasterize supports d=2 only")
-    if not h > 0:
-        raise ValidationError(f"pixel size h={h}; need h > 0")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValidationError(f"pixel size h={h}; need a finite h > 0")
     pad = 2 * h
     lo = np.full(2, math.inf)
     hi = np.full(2, -math.inf)
@@ -709,6 +709,10 @@ def weighted_density(rs: RasterSet, x, r: float, p: float) -> float:
     L_a the |x|^p-weighted area; always in [0, 1/2].
     """
     x = np.asarray(x, dtype=float)
+    if not (r > 0 and math.isfinite(r) and p >= 0 and math.isfinite(p)
+            and np.isfinite(x).all()):
+        raise ValidationError(f"center {x}, radius r={r}, exponent p={p}; "
+                              "need a finite center and finite r > 0, p >= 0")
     nx, ny = rs.mask.shape
     if (x[0] - r < rs.x0 or x[0] + r > rs.x0 + nx * rs.h
             or x[1] - r < rs.y0 or x[1] + r > rs.y0 + ny * rs.h):

@@ -1,12 +1,14 @@
 """Grids, star shapes, measures, and their exact invariants."""
 
 import dataclasses
+import decimal
 import json
 import math
 
 import numpy as np
 import pytest
 
+from isoshape import geometry
 from isoshape.energy import (
     VolumeQuadrature,
     interaction,
@@ -174,6 +176,8 @@ _BAD_SET_PROBES = {
     "potential-list": lambda: potential([_DISK], np.zeros(2), _P),
     "volume_quadrature-list": lambda: VolumeQuadrature.build([_DISK]),
     "mc_riesz-list": lambda: mc_riesz([_DISK], None, 0.5, 1_000_000, 0),
+    "ray_radius-configuration": lambda: ray_radius(Configuration((_DISK,))),
+    "ray_radius-none": lambda: ray_radius(None),
 }
 
 
@@ -492,6 +496,22 @@ def test_radial_at_directions_rejects_non_finite_directions(d):
             membership(shape, dirs)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_membership_and_radial_at_directions_check_the_column_count(d):
+    # (0.1, 0.2, 5.0) is far outside a d=2 disk of radius 0.5; read as
+    # its first two coordinates it would be inside
+    shape = make_ball(0.5, np.zeros(d), make_grid(d, 12))
+    other = 5 - d
+    for bad in (np.array([[0.1, 0.2, 5.0][:other]]), np.ones((1, 1)),
+                np.zeros((2, d, 1))):
+        with pytest.raises(ValidationError):
+            membership(shape, bad)
+        with pytest.raises(ValidationError):
+            radial_at_directions(shape, bad)
+    assert membership(shape, np.full(d, 0.1)).tolist() == [True]
+    assert radial_at_directions(shape, np.eye(d)).tolist() == [0.5] * d
+
+
 @pytest.mark.parametrize("n", [8, 9, 20, 64, 96, 128])
 def test_cubic_kernel_matches_the_spline_bit_for_bit(n):
     # scipy's CubicSpline.__call__ is the reference: random angles,
@@ -602,3 +622,74 @@ def test_ray_radius_stops_at_its_fixed_point(d, n):
         shape = random_star(rng, n=n, d=d, amp=0.2, center_scale=0.3)
         assert np.linalg.norm(shape.center) > 0.0
         assert np.array_equal(ray_radius(shape), _ray_radius_64_steps(shape))
+
+
+def _ball_crossing(e, c, R):
+    """t = e.c + sqrt((e.c)^2 - |c|^2 + R^2), the crossing of the ray
+    t e with the sphere |x - c| = R, in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        D = decimal.Decimal
+        c = [D(float(x)) for x in c]
+        cc = sum(x * x for x in c)
+        out = []
+        for row in e:
+            ec = sum(D(float(x)) * y for x, y in zip(row, c))
+            out.append(float(ec + (ec * ec - cc + D(R) * D(R)).sqrt()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 64), (3, 8), (3, 12)])
+def test_ray_radius_of_an_off_center_ball_is_its_closed_form_crossing(d, n):
+    # every ray within 4 ulps of the exact crossing; the interpolated
+    # radius of a ball is R in every direction, so the estimate is the
+    # crossing up to rounding at every |c|
+    g = make_grid(d, n)
+    rng = np.random.default_rng(40 + n)
+    for c_norm in (1e-11, 1e-5, 1e-2, 0.2):
+        u = rng.standard_normal(d)
+        R = float(rng.uniform(0.5, 1.5))
+        c = c_norm * u / np.linalg.norm(u)
+        want = _ball_crossing(g.nodes, c, R)
+        got = ray_radius(make_ball(R, c, g))
+        assert (np.abs(got - want) <= 4 * np.spacing(want)).all(), c_norm
+
+
+def _near_round(d, n):
+    """An off-center shape a hair from the unit ball: |c| = 1e-5 and a
+    1e-3 ripple of mode 2."""
+    g = make_grid(d, n)
+    x = g.nodes
+    mode = x[:, 0] ** 2 - x[:, 1] ** 2 if d == 2 else 1.5 * x[:, 2] ** 2 - 0.5
+    return StarShape(grid=g, center=np.full(d, 1e-5 / math.sqrt(d)),
+                     radii=1.0 + 1e-3 * mode)
+
+
+@pytest.mark.parametrize("d,n", [(2, 20), (2, 64), (3, 8), (3, 12)])
+def test_ray_radius_of_a_near_round_shape_is_a_flip_from_a_narrow_bracket(
+        monkeypatch, d, n):
+    # the estimate certifies every ray: one bisection from brackets of
+    # 32 ulps; each radius x is a flip of the membership test between x
+    # and a neighbouring float, within 3 ulps of the cast from [0, top]
+    shape = _near_round(d, n)
+    bisect = geometry._bisect
+    brackets = []
+
+    def spy(shape, e, lo, hi):
+        brackets.append((lo.copy(), hi.copy()))
+        return bisect(shape, e, lo, hi)
+
+    monkeypatch.setattr(geometry, "_bisect", spy)
+    got = ray_radius(shape)
+    assert len(brackets) == 1
+    lo, hi = brackets[0]
+    assert lo.size == got.size and (hi - lo <= 32 * np.spacing(hi)).all()
+
+    def inside(t):
+        return membership(shape, t[:, None] * shape.grid.nodes)
+
+    up, down = np.nextafter(got, math.inf), np.nextafter(got, 0.0)
+    flip = inside(got) & ~inside(up) | inside(down) & ~inside(got)
+    assert flip.all()
+    full = _ray_radius_64_steps(shape)
+    assert (np.abs(got - full) <= 3 * np.spacing(full)).all()

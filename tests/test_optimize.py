@@ -315,8 +315,11 @@ def test_scaling_maps_round_trip():
     for g in (1e-3, 0.7, 40.0):
         assert mass_to_gamma(gamma_to_mass(g, params), params) == (
             pytest.approx(g, rel=1e-12))
-    with pytest.raises(ValidationError):
-        gamma_to_mass(0.0, params)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            gamma_to_mass(bad, params)
+        with pytest.raises(ValidationError):
+            mass_to_gamma(bad, params)
 
 
 def test_scaling_maps_reject_critical_power():
@@ -718,7 +721,7 @@ _FROZEN_SWEEPS = [
         "100,2,1,2,225.39600869698651,12.775218279041303,2.1262079041794522,1,2,inf,45,0",
     ]),
     (3, 8, ("perturbed-ball", 0.2, 2), [0.1, 1.0], [
-        "0.10000000000000001,2,1,3,2.0550415100847541,1.8610514930343462,1.9399001705040764,0.99999999999999989,1,0.00043765552477625935,8,1",
+        "0.10000000000000001,2,1,3,2.0550415100847541,1.8610514930343462,1.9399001705040764,0.99999999999999989,1,0.0004376555247762742,8,1",
         "1,2,1,3,3.8009496154375757,1.8610545302915704,1.9398950851460055,1.0000000000000002,1,0.0053638474752214626,10,1",
     ]),
 ]

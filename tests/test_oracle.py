@@ -93,8 +93,9 @@ def test_rasterize_guards():
         rasterize(small, 0.02)
     with pytest.raises(ValidationError):
         rasterize(make_ball(1.0, np.zeros(3), make_grid(3, 12)), 0.1)
-    with pytest.raises(ValidationError):
-        rasterize(make_ball(1.0, np.zeros(2), make_grid(2, 64)), -0.1)
+    for h in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            rasterize(make_ball(1.0, np.zeros(2), make_grid(2, 64)), h)
     with pytest.raises(ValidationError):
         rasterize(Configuration(()), 0.1)
 
@@ -459,6 +460,12 @@ def test_weighted_density_probes():
         assert 0.0 <= val <= 0.5
     with pytest.raises(OutOfBoundsError):
         weighted_density(rs, (1.2, 0.0), 0.5, 2.0)
+    for x, r, p in (((0.0, 0.0), -1.0, 2.0), ((0.0, 0.0), 0.0, 2.0),
+                    ((0.0, 0.0), math.nan, 2.0), ((0.0, 0.0), 0.3, math.nan),
+                    ((0.0, 0.0), 0.3, -1.0), ((0.0, 0.0), 0.3, math.inf),
+                    ((math.nan, 0.0), 0.3, 2.0)):
+        with pytest.raises(ValidationError):
+            weighted_density(rs, x, r, p)
 
 
 def test_v_lipschitz_mass_precondition():
