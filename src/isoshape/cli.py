@@ -40,7 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from .energy import total_energy
-from .errors import ConfigError, IsoshapeError, ValidationError
+from .errors import (
+    ConfigError,
+    CriticalExponentError,
+    IsoshapeError,
+    ValidationError,
+    _integer,
+    _real,
+)
 from .fuglede import deficit_report, report_to_csv
 from .geometry import (
     EnergyParams,
@@ -50,7 +57,6 @@ from .geometry import (
     make_grid,
     unit_ball_volume,
 )
-from .errors import CriticalExponentError
 from .optimize import (
     OptimizerOptions,
     build_initial_config,
@@ -94,32 +100,32 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; "
                               f"choose from {COMMANDS}")
-        if self.n < 8:
-            raise ConfigError(f"key 'n': grid resolution {self.n}; need n >= 8")
-        if not self.gammas or not all(math.isfinite(g) and g > 0
-                                      for g in self.gammas):
-            raise ConfigError("key 'gammas': need a nonempty list of "
-                              "finite, positive gammas")
-        if self.seed < 0:
-            raise ConfigError(f"key 'seed': seed {self.seed}; need seed >= 0")
+        if not self.gammas:
+            raise ConfigError("key 'gammas': need a nonempty list")
+        checks = {"n": lambda: _integer("n", self.n, 8),
+                  "seed": lambda: _integer("seed", self.seed, 0),
+                  "gammas": lambda: [_real("gammas", g, 0.0, open_lo=True)
+                                     for g in self.gammas]}
+        for key, check in checks.items():
+            try:
+                check()
+            except ValidationError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 def _coerce(key: str, value, kind):
     if kind is float and isinstance(value, (int, float)) \
             and not isinstance(value, bool):
         return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
     if kind is list and isinstance(value, (list, tuple)):
         try:
-            return [float(v) for v in value]
+            return [float(_real(key, v)) for v in value]
         except (TypeError, ValueError):
             raise ConfigError(f"key {key!r}: expected a list of numbers, "
                               f"got {value!r}") from None
+    # bool subclasses int: only a bool key takes a bool
+    if isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
+        return value
     raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
 
 

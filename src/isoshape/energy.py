@@ -94,7 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ValidationError
+from .errors import ValidationError, _array, _real
 from .geometry import (
     Configuration,
     EnergyParams,
@@ -164,16 +164,14 @@ class VolumeQuadrature:
     h: float
 
     def __post_init__(self):
-        s = np.ascontiguousarray(np.asarray(self.s, dtype=float))
-        v = np.ascontiguousarray(np.asarray(self.v, dtype=float))
+        s = np.ascontiguousarray(_array("s", self.s, (None,)))
+        v = np.ascontiguousarray(_array("v", self.v, s.shape))
+        _real("h", self.h, 0.0, open_lo=True)
+        if not (s.size and np.all(v > 0) and np.all(s > 0) and np.all(s < 1)):
+            raise ValidationError("a radial rule needs nodes s in (0, 1) "
+                                  "with weights v > 0")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "v", v)
-        if s.ndim != 1 or v.shape != s.shape or s.size == 0:
-            raise ValidationError("radial rule arrays must be matching 1-d")
-        if not (np.all(v > 0) and np.all(s > 0) and np.all(s < 1)):
-            raise ValidationError("radial nodes must lie in (0,1) with positive weights")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValidationError(f"desingularization length must be positive, got {self.h}")
 
     @classmethod
     def build(cls, obj) -> "VolumeQuadrature":
@@ -616,12 +614,7 @@ def potential(obj, x, params: EnergyParams, vq: VolumeQuadrature | None = None) 
     """
     shapes = _as_configuration(obj).components
     _check_params(params, shapes)
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != params.d:
-        raise ValidationError(f"points of shape {np.shape(x)} are not "
-                              f"points of dimension d={params.d}")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("non-finite point coordinate")
+    pts = _array("x", x, (None, params.d))
     vq = _rule(shapes, params, vq)
     if vq is None:
         Y, N = _boundary_cloud(shapes)

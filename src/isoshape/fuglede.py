@@ -58,6 +58,9 @@ from .errors import (
     DegenerateDeficitError,
     GraphConditionError,
     ValidationError,
+    _array,
+    _integer,
+    _real,
 )
 from .geometry import (
     EnergyParams,
@@ -100,13 +103,10 @@ class Perturbation:
     p: float = 2.0
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.u, dtype=float)
+        _real("R", self.R, 0.0, open_lo=True)
+        _real("p", self.p, 0.0)
+        u = np.ascontiguousarray(_array("u", self.u, (self.grid.n_nodes,)))
         object.__setattr__(self, "u", u)
-        if u.shape != (self.grid.n_nodes,):
-            raise ValidationError(
-                f"field shape {u.shape} does not match grid ({self.grid.n_nodes},)")
-        if not np.all(np.isfinite(u)):
-            raise ValidationError("perturbation field contains non-finite values")
         total = float(self.grid.weights.sum())
         mean = abs(float(self.grid.weights @ u))
         if mean > ZERO_MEAN_TOL * total:
@@ -114,17 +114,13 @@ class Perturbation:
                 f"perturbation is not zero-mean: |int u| = {mean:.3e}")
         if not float(np.abs(u).max(initial=0.0)) < 1.0:
             raise ValidationError("graph condition requires max |u| < 1")
-        if not (self.R > 0 and math.isfinite(self.R)):
-            raise ValidationError(f"base radius R={self.R}; need R > 0")
-        if not (self.p >= 0 and math.isfinite(self.p)):
-            raise ValidationError(f"density exponent p={self.p}; need p >= 0")
 
 
 def mode_perturbation(grid: SphereGrid, eps: float, k: int,
                       R: float = 1.0, p: float = 2.0) -> Perturbation:
     """Single-mode perturbation: eps cos(k theta) in d=2, eps P_k(cos phi) in d=3."""
-    if not k >= 1:
-        raise ValidationError(f"mode index k={k}; need k >= 1 (zero mean)")
+    _real("eps", eps)
+    _integer("k", k, 1)     # mode 0 is not zero-mean
     return Perturbation(grid=grid, u=_mode_field(grid, eps, k), R=R, p=p)
 
 
@@ -136,6 +132,8 @@ def random_perturbation(grid: SphereGrid, rng: np.random.Generator,
     d=2: random Fourier modes 1..kmax.  d=3: random zonal Legendre modes
     plus the sectoral harmonics sin^m(phi) cos/sin(m psi), all zero-mean.
     """
+    _real("c1_bound", c1_bound, 0.0, open_lo=True)
+    _integer("kmax", kmax, 1)
     if grid.d == 2:
         u = np.zeros(grid.n_nodes)
         for k in range(1, kmax + 1):
@@ -231,10 +229,10 @@ def riesz_deficit(pert: Perturbation, *, alpha: float = 1.0) -> RieszResult:
     the bar is the h-sensitivity of the deficit.
     """
     g = pert.grid
+    params = EnergyParams(d=g.d, p=pert.p, alpha=alpha)
     shape = shape_from_perturbation(pert)
     r_b = (volume(shape) / unit_ball_volume(g.d)) ** (1.0 / g.d)
     ball = make_ball(r_b, np.zeros(g.d), g)
-    params = EnergyParams(d=g.d, p=pert.p, alpha=alpha)
     vq = frozen_rule(shape, params)
     s_shape = riesz_sums((shape,), params, vq)
     s_ball = riesz_sums((ball,), params, vq)
@@ -250,13 +248,12 @@ def stability_ratio(pert: Perturbation, *, alpha: float = 1.0,
     Raises DegenerateDeficitError when the Riesz deficit does not exceed
     its own extrapolation error bar (the ratio would be noise).
     """
+    _real("gamma", gamma, 0.0, open_lo=True)
     return _ratio(perimeter_deficit(pert), riesz_deficit(pert, alpha=alpha),
                   gamma)
 
 
 def _ratio(per: float, rd: RieszResult, gamma: float) -> float:
-    if not gamma > 0:
-        raise ValidationError(f"gamma={gamma}; need gamma > 0")
     if not float(rd) > rd.error:
         raise DegenerateDeficitError(
             f"riesz deficit {float(rd):.3e} within its error bar {rd.error:.3e}")
@@ -273,25 +270,30 @@ DEFICIT_CSV_HEADER = ("mode_k,eps,R,p,alpha,gamma,per_deficit,riesz_deficit,"
 
 def deficit_report(grid: SphereGrid, modes, epsilons, R: float, p: float,
                    alpha: float, gamma: float) -> list:
-    """One row per (mode, eps): both deficits, the H^1 norm and the ratio."""
+    """One row per (mode, eps): both deficits, the H^1 norm and the ratio.
+    Every argument is checked before the first deficit is summed."""
+    _real("gamma", gamma, 0.0, open_lo=True)
+    EnergyParams(d=grid.d, p=p, alpha=alpha)    # the domains of p and alpha
+    modes = [_integer(f"modes[{i}]", k, 1) for i, k in enumerate(modes)]
+    epsilons = [_real(f"epsilons[{i}]", e) for i, e in enumerate(epsilons)]
+    perts = [(k, eps, mode_perturbation(grid, eps, k, R=R, p=p))
+             for k in modes for eps in epsilons]
     rows = []
-    for k in modes:
-        for eps in epsilons:
-            pert = mode_perturbation(grid, eps, k, R=R, p=p)
-            rd = riesz_deficit(pert, alpha=alpha)
-            per = perimeter_deficit(pert)
-            try:
-                ratio = _ratio(per, rd, gamma)
-            except DegenerateDeficitError:
-                ratio = None
-            rows.append({
-                "mode_k": k, "eps": eps, "R": R, "p": p, "alpha": alpha,
-                "gamma": gamma,
-                "per_deficit": per,
-                "riesz_deficit": float(rd),
-                "h1_sq": h1_norm_sq(pert),
-                "ratio": ratio,
-            })
+    for k, eps, pert in perts:
+        rd = riesz_deficit(pert, alpha=alpha)
+        per = perimeter_deficit(pert)
+        try:
+            ratio = _ratio(per, rd, gamma)
+        except DegenerateDeficitError:
+            ratio = None
+        rows.append({
+            "mode_k": k, "eps": eps, "R": R, "p": p, "alpha": alpha,
+            "gamma": gamma,
+            "per_deficit": per,
+            "riesz_deficit": float(rd),
+            "h1_sq": h1_norm_sq(pert),
+            "ratio": ratio,
+        })
     return rows
 
 

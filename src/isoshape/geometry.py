@@ -64,14 +64,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import OverlapError, ValidationError
+from .errors import OverlapError, ValidationError, _array, _integer, _real
 
 R_MIN = 1e-6
 
@@ -84,11 +82,8 @@ GRID_KIND = {2: "uniform-angle", 3: "gauss-latlong"}
 
 
 def unit_ball_volume(d: int) -> float:
-    if d == 2:
-        return math.pi
-    if d == 3:
-        return 4.0 * math.pi / 3.0
-    raise ValidationError(f"unsupported dimension d={d}; only d=2 and d=3")
+    _integer("d", d, 2, 3)
+    return math.pi if d == 2 else 4.0 * math.pi / 3.0
 
 
 def sphere_area(d: int) -> float:
@@ -342,12 +337,8 @@ def make_grid(d: int, n: int) -> SphereGrid:
     n : resolution, n >= 8.  d=2: n uniform angles; d=3: n Gauss polar
         nodes times 2n uniform azimuths.
     """
-    if d not in (2, 3):
-        raise ValidationError(f"unsupported dimension d={d}; only d=2 and d=3")
-    if not isinstance(n, numbers.Integral):
-        raise ValidationError(f"resolution n={n!r} is not an integer")
-    if n < 8:
-        raise ValidationError(f"resolution too small: n={n}, need n >= 8")
+    _integer("d", d, 2, 3)
+    _integer("n", n, 8)
     if d == 2:
         theta = 2.0 * math.pi * np.arange(n) / n
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -371,7 +362,7 @@ def make_grid(d: int, n: int) -> SphereGrid:
 
 def tangential_gradient(field, grid: SphereGrid) -> np.ndarray:
     """Tangential gradient of a nodal field, as ambient (N, d) vectors."""
-    comps = grid.grad_components(field)
+    comps = grid.grad_components(_array("field", field, (grid.n_nodes,)))
     frame = grid.tangent_frame
     out = comps[0][:, None] * frame[0]
     for c, e in zip(comps[1:], frame[1:]):
@@ -412,16 +403,11 @@ class StarShape:
     radii: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.center, dtype=float).reshape(-1)
-        r = np.array(self.radii, dtype=float).reshape(-1)
-        if c.size != self.grid.d:
-            raise ValidationError(f"center has {c.size} coordinates, grid d={self.grid.d}")
-        if r.size != self.grid.n_nodes:
-            raise ValidationError(f"got {r.size} radial samples for {self.grid.n_nodes} nodes")
-        if not np.isfinite(c).all() or not np.isfinite(r).all():
-            raise ValidationError("non-finite center or radial sample")
+        # copies: the stored arrays are made read-only
+        c = np.array(_array("center", self.center, (self.grid.d,)))
+        r = np.array(_array("radii", self.radii, (self.grid.n_nodes,)))
         if (r < R_MIN).any():
-            raise ValidationError(f"radius below floor R_MIN={R_MIN:g}")
+            raise ValidationError(f"radii below the floor R_MIN={R_MIN:g}")
         c.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "center", c)
@@ -477,9 +463,11 @@ class StarShape:
         return wrapped
 
     @cached_property
-    def spline(self) -> CubicSpline:
-        """Periodic cubic spline of the d=2 radii over [0, 2 pi], built
-        once per shape, with read-only knots and coefficients."""
+    def spline(self):
+        """Periodic scipy ``CubicSpline`` of the d=2 radii over [0, 2 pi],
+        built once per shape, with read-only knots and coefficients; its
+        import waits for the first spline, which most runs never build."""
+        from scipy.interpolate import CubicSpline
         sp = CubicSpline(np.append(self.grid.theta, 2.0 * math.pi),
                          np.append(self.radii, self.radii[0]),
                          bc_type="periodic")
@@ -508,9 +496,8 @@ class StarShape:
 
 
 def make_ball(R: float, center, grid: SphereGrid) -> StarShape:
-    if not R >= R_MIN:
-        raise ValidationError(f"radius {R:g} below floor R_MIN={R_MIN:g}")
-    return StarShape(grid=grid, center=np.asarray(center, dtype=float),
+    _real("R", R, R_MIN)
+    return StarShape(grid=grid, center=center,
                      radii=np.full(grid.n_nodes, float(R)))
 
 
@@ -570,18 +557,10 @@ class EnergyParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ValidationError(f"unsupported dimension d={self.d}")
-        for name in ("p", "alpha", "gamma"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValidationError(f"{name}={getattr(self, name)!r}; "
-                                      "need a real number")
-        if not (self.p >= 0 and math.isfinite(self.p)):
-            raise ValidationError(f"density exponent p={self.p}; need p >= 0")
-        if not (0.0 < self.alpha < self.d):
-            raise ValidationError(f"alpha={self.alpha} outside (0, d) with d={self.d}")
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
-            raise ValidationError(f"gamma={self.gamma}; need gamma >= 0")
+        _integer("d", self.d, 2, 3)
+        _real("p", self.p, 0.0)
+        _real("alpha", self.alpha, 0.0, self.d, open_lo=True, open_hi=True)
+        _real("gamma", self.gamma, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -603,8 +582,7 @@ def total_volume(config) -> float:
 def dilate(obj, t: float):
     """Dilation about the origin: scales centers and radial samples by t,
     and returns the type it is given."""
-    if not t > 0:
-        raise ValidationError(f"dilation scale must be positive, got {t:g}")
+    _real("t", t, 0.0, open_lo=True)
     out = Configuration(tuple(
         StarShape(grid=s.grid, center=s.center * t, radii=s.radii * t)
         for s in _as_configuration(obj).components))
@@ -615,22 +593,10 @@ def dilate(obj, t: float):
 # continuous interpretation (shared by the raster / Monte Carlo oracles)
 # ----------------------------------------------------------------------
 
-def _rows(shape: StarShape, a, what: str) -> np.ndarray:
-    """a as an (N, d) float array of finite rows for the shape's d, or
-    ValidationError."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    d = shape.grid.d
-    if a.ndim != 2 or a.shape[1] != d:
-        raise ValidationError(f"{what}s of shape {a.shape}; need (N, {d})")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"non-finite {what}")
-    return a
-
-
 def radial_at_directions(shape: StarShape, dirs) -> np.ndarray:
     """Interpolated radial function at arbitrary unit directions, given
     as the rows of an (N, d) array."""
-    return _radial_at(shape, _rows(shape, dirs, "direction").T)
+    return _radial_at(shape, _array("dirs", dirs, (None, shape.grid.d)).T)
 
 
 def _radial_at(shape: StarShape, cols) -> np.ndarray:
@@ -719,7 +685,7 @@ def membership(shape: StarShape, pts) -> np.ndarray:
     One pass over the coordinate columns: the center itself has no
     direction, so it is divided by 1 and counted inside.
     """
-    pts = _rows(shape, pts, "point")
+    pts = _array("pts", pts, (None, shape.grid.d))
     return _inside(shape, [pts[:, k] - c for k, c in enumerate(shape.center)])
 
 
@@ -733,11 +699,8 @@ def _inside(shape: StarShape, cols) -> np.ndarray:
 
 
 def config_membership(config, pts) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.zeros(pts.shape[0], dtype=bool)
-    for s in _as_configuration(config).components:
-        out |= membership(s, pts)
-    return out
+    return np.logical_or.reduce([membership(s, pts) for s in
+                                 _as_configuration(config).components])
 
 
 def interpolated_volume(shape: StarShape) -> float:
@@ -907,34 +870,16 @@ def config_to_dict(config) -> dict:
     return {"d": d, "components": comps}
 
 
-def _file_value(obj, key: str, kind: type):
-    """obj[key] of a shape file as an int, a list or, for kind float, a
-    float array of JSON numbers; anything else raises ValidationError."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if kind is float:
-        try:
-            arr = np.asarray(value)
-        except ValueError:          # ragged nested lists
-            arr = np.asarray(None)
-        if arr.dtype.kind in "if":
-            return arr.astype(float)
-    elif isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    what = {int: "an integer", list: "a list", float: "numbers"}[kind]
-    raise ValidationError(f"shape file key {key!r}: expected {what}, "
-                          f"got {value!r:.60}")
-
-
 def dict_to_config(obj: dict) -> Configuration:
     """The configuration of a parsed shape file (``config_to_dict``
     layout); a missing or mistyped entry raises ValidationError."""
-    d = _file_value(obj, "d", int)
-    raw = _file_value(obj, "components", list)
-    if d not in (2, 3):
-        raise ValidationError(f"shape file has unsupported dimension d={d}")
+    if not (isinstance(obj, dict) and isinstance(obj.get("components"), list)):
+        raise ValidationError("a shape file is an object with a list of "
+                              f"components, got {obj!r:.60}")
+    d = _integer("d", obj.get("d"), 2, 3)
     comps = []
     grids: dict[int, SphereGrid] = {}
-    for entry in raw:
+    for entry in obj["components"]:
         if not isinstance(entry, dict):
             raise ValidationError(f"shape file component {entry!r} is not "
                                   "an object")
@@ -942,12 +887,11 @@ def dict_to_config(obj: dict) -> Configuration:
         kind = gspec.get("kind") if isinstance(gspec, dict) else None
         if kind != GRID_KIND[d]:
             raise ValidationError(f"grid kind {kind!r} does not match d={d}")
-        n = _file_value(gspec, "n", int)
+        n = _integer("n", gspec.get("n"), 8)
         if n not in grids:
             grids[n] = make_grid(d, n)
-        comps.append(StarShape(grid=grids[n],
-                               center=_file_value(entry, "center", float),
-                               radii=_file_value(entry, "radial", float)))
+        comps.append(StarShape(grid=grids[n], center=entry.get("center"),
+                               radii=entry.get("radial")))
     return Configuration(tuple(comps))
 
 

@@ -66,7 +66,6 @@ functional is scale invariant and the map is undefined.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -88,6 +87,8 @@ from .errors import (
     IsoshapeError,
     OverlapError,
     ValidationError,
+    _integer,
+    _real,
 )
 from .geometry import (
     R_MIN,
@@ -135,9 +136,7 @@ class OptimizerOptions:
     init: tuple = ("ball",)
 
     def __post_init__(self):
-        if not _count(self.max_iter):
-            raise ValidationError(f"max_iter={self.max_iter!r}; need an "
-                                  "integer >= 1")
+        _integer("max_iter", self.max_iter, 1)
         _check_init(self.init)
 
 
@@ -192,8 +191,8 @@ def _fmt(x: float) -> str:
 
 def critical_exponent(d: int, alpha: float) -> float:
     """p* = d - alpha + 1, the scale-invariant density power."""
-    if not 0.0 < alpha < d:
-        raise ValidationError(f"alpha must lie in (0, d), got {alpha}")
+    _integer("d", d, 2, 3)
+    _real("alpha", alpha, 0.0, d, open_lo=True, open_hi=True)
     return d - alpha + 1.0
 
 
@@ -208,15 +207,13 @@ def _scaling_exponent(params: EnergyParams) -> float:
 
 def gamma_to_mass(gamma: float, params: EnergyParams) -> float:
     """m = gamma^(-d/(p + alpha - d - 1))."""
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValidationError("gamma must be positive and finite")
+    _real("gamma", gamma, 0.0, open_lo=True)
     return gamma ** (-params.d / _scaling_exponent(params))
 
 
 def mass_to_gamma(m: float, params: EnergyParams) -> float:
     """gamma = m^(-(p + alpha - d - 1)/d)."""
-    if not (m > 0 and math.isfinite(m)):
-        raise ValidationError("mass must be positive and finite")
+    _real("m", m, 0.0, open_lo=True)
     return m ** (-_scaling_exponent(params) / params.d)
 
 
@@ -252,27 +249,21 @@ def _volume_gradient(shape: StarShape):
 # initial configurations and asphericity
 # ----------------------------------------------------------------------
 
-def _count(x) -> bool:
-    return (isinstance(x, numbers.Integral) and not isinstance(x, bool)
-            and x >= 1)
-
-
 def _check_init(init):
     """Raise ValidationError unless init is ("ball",), ("perturbed-ball",
     eps, mode_k) or ("multiball", count, spacing), with eps finite,
     spacing finite and positive, and mode_k and count integers >= 1."""
-    def real(x):
-        return isinstance(x, numbers.Real) and math.isfinite(x)
-
-    rules = {"ball": (), "perturbed-ball": (real, _count),
-             "multiball": (_count, lambda x: real(x) and x > 0)}
-    if not (isinstance(init, tuple) and init and isinstance(init[0], str)
-            and init[0] in rules):
+    kind = init[0] if isinstance(init, tuple) and init else None
+    if kind not in ("ball", "perturbed-ball", "multiball"):
         raise ValidationError(f"unknown init spec {init!r}")
-    checks = rules[init[0]]
-    if len(init) != 1 + len(checks) or not all(
-            ok(x) for ok, x in zip(checks, init[1:])):
+    if len(init) != (1 if kind == "ball" else 3):
         raise ValidationError(f"malformed init spec {init!r}")
+    if kind == "perturbed-ball":
+        _real("eps", init[1])
+        _integer("mode_k", init[2], 1)
+    elif kind == "multiball":
+        _integer("count", init[1], 1)
+        _real("spacing", init[2], 0.0, open_lo=True)
 
 
 def build_initial_config(params: EnergyParams, grid: SphereGrid,
@@ -612,11 +603,14 @@ def sweep_gamma(gamma_list, params: EnergyParams, grid: SphereGrid,
     becomes an inf row, a failed warm start is skipped; any other
     exception propagates.
     """
-    gammas = [float(g) for g in gamma_list]
-    if not gammas or not all(math.isfinite(g) and g > 0 for g in gammas) \
-            or sorted(gammas) != gammas:
-        raise ValidationError(
-            "gamma list must be nonempty, finite, positive, sorted")
+    try:
+        gammas = [float(_real(f"gamma_list[{i}]", g, 0.0, open_lo=True))
+                  for i, g in enumerate(gamma_list)]
+    except TypeError:       # not iterable
+        gammas = []
+    if not gammas or sorted(gammas) != gammas:
+        raise ValidationError(f"gamma_list={gamma_list!r}; need a nonempty "
+                              "sorted list")
     out = []
     prev_config = None
     for gamma in gammas:

@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +88,9 @@ from .errors import (
     OutOfBoundsError,
     ResolutionError,
     ValidationError,
+    _array,
+    _integer,
+    _real,
 )
 from .geometry import (
     EnergyParams,
@@ -165,8 +167,9 @@ class RasterSet:
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValidationError(f"pixel size h={self.h}; need h > 0")
+        _real("h", self.h, 0.0, open_lo=True)
+        _real("x0", self.x0)
+        _real("y0", self.y0)
         mask = np.ascontiguousarray(self.mask, dtype=bool)
         object.__setattr__(self, "mask", mask)
         if mask.ndim != 2:
@@ -237,8 +240,7 @@ def rasterize(obj, h: float) -> RasterSet:
     obj = _as_configuration(obj)
     if obj.components[0].grid.d != 2:
         raise ValidationError("rasterize supports d=2 only")
-    if not (h > 0 and math.isfinite(h)):
-        raise ValidationError(f"pixel size h={h}; need a finite h > 0")
+    _real("h", h, 0.0, open_lo=True)
     pad = 2 * h
     lo = np.full(2, math.inf)
     hi = np.full(2, -math.inf)
@@ -298,6 +300,7 @@ def raster_measures(rs: RasterSet, p: float):
     Volume is exact cell arithmetic; the perimeters are calibrated edge
     sums with the frozen anisotropy factor.
     """
+    _real("p", p, 0.0)
     dens = []
     box = (0, rs.mask.shape[0], 0, rs.mask.shape[1])
     for exposed, (ex, ey) in zip(_exposed_edges(rs, *box),
@@ -435,19 +438,13 @@ def mc_riesz(set_a, set_b=None, alpha: float = 1.0,
     configuration, ``OverlapError``) and alpha are validated before any
     sampler is built.
     """
-    for name, v in (("n_samples", n_samples), ("seed", seed)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
-                or v < 0:
-            raise ValidationError(f"{name}={v!r}; need an integer >= 0")
-    if n_samples < MC_SAMPLES:
-        raise ValidationError(
-            f"n_samples={n_samples}; the oracle contract requires >= 1e6")
+    _integer("n_samples", n_samples, MC_SAMPLES)    # the oracle contract
+    _integer("seed", seed, 0)
     d = _dimension(set_a)
     if set_b is not None and _dimension(set_b) != d:
         raise ValidationError(
             f"sets of dimension {d} and {_dimension(set_b)}; need equal")
-    if not 0.0 < alpha < d:
-        raise ValidationError(f"alpha={alpha} outside (0, {d})")
+    _real("alpha", alpha, 0.0, d, open_lo=True, open_hi=True)
     draw_a, vol_a = _sampler(set_a)
     if set_b is None:
         draw_b, vol_b = draw_a, vol_a
@@ -578,8 +575,7 @@ def lattice_riesz(rs: RasterSet, alpha: float):
     V when the exact table stops at _LAGS instead.  The sums are numpy
     reductions, so V does not depend on the thread count.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValidationError(f"alpha={alpha} outside (0, 2)")
+    _real("alpha", alpha, 0.0, 2.0, open_lo=True, open_hi=True)
     q = _lag_counts(rs.mask)
     nx, ny = q.shape
     r2 = np.add.outer(np.arange(nx) ** 2.0, np.arange(ny) ** 2.0)
@@ -680,6 +676,7 @@ def check_rel_isop(rs: RasterSet, j: int):
     raster_measures counts, and an edge counts when its midpoint radius
     lies strictly inside (r_in, r_out); see ``_Annulus``.
     """
+    _integer("j", j, -510, 510)     # 4^j and 4^(j+1) finite and nonzero
     return _Annulus(rs, j).check(rs)
 
 
@@ -708,11 +705,9 @@ def weighted_density(rs: RasterSet, x, r: float, p: float) -> float:
     min(L_a(Omega cap B_r(x)), L_a(B_r(x) minus Omega)) / L_a(B_r(x)) with
     L_a the |x|^p-weighted area; always in [0, 1/2].
     """
-    x = np.asarray(x, dtype=float)
-    if not (r > 0 and math.isfinite(r) and p >= 0 and math.isfinite(p)
-            and np.isfinite(x).all()):
-        raise ValidationError(f"center {x}, radius r={r}, exponent p={p}; "
-                              "need a finite center and finite r > 0, p >= 0")
+    x = _array("x", x, (2,))
+    _real("r", r, 0.0, open_lo=True)
+    _real("p", p, 0.0)
     nx, ny = rs.mask.shape
     if (x[0] - r < rs.x0 or x[0] + r > rs.x0 + nx * rs.h
             or x[1] - r < rs.y0 or x[1] + r > rs.y0 + ny * rs.h):
@@ -738,10 +733,8 @@ def check_en_lower_bound(m: float, p: float, d: int):
     for p <= 1 the rho^(d-1+p) term decays no faster than m and the
     caller must compare against exact_lhs - d omega_d rho^(d-1+p).
     """
-    if not (0.0 <= m <= 0.1):
-        raise ValidationError(f"mass m={m} outside [0, 0.1]")
-    if not p > 0:
-        raise ValidationError(f"density exponent p={p}; need p > 0")
+    _real("m", m, 0.0, 0.1)
+    _real("p", p, 0.0, open_lo=True)
     wd = unit_ball_volume(d)
     r0 = wd ** (-1.0 / d)
     rho = (m / wd) ** (1.0 / d)
@@ -976,6 +969,7 @@ def run_en_lower_bound() -> dict:
 
 def run_all_checks(seed: int = 0) -> list:
     """The default verify corpus: every checker's report, in fixed order."""
+    _integer("seed", seed, 0)
     return [
         run_raster_agreement(seed=seed),
         run_mc_agreement(seed=seed),

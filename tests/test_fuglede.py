@@ -221,3 +221,23 @@ def test_deficit_report_computes_each_riesz_deficit_once(monkeypatch):
             ratio = None
         assert row["ratio"] == ratio
         assert row["riesz_deficit"] == float(riesz_deficit(pert, alpha=1.0))
+
+
+def test_deficit_report_validates_before_summing(monkeypatch):
+    import isoshape.fuglede as fug
+
+    def no_deficit(pert, *, alpha=1.0):
+        raise AssertionError("a Riesz deficit was summed before validation")
+
+    monkeypatch.setattr(fug, "riesz_deficit", no_deficit)
+    g = make_grid(2, 32)
+    good = dict(modes=(2, 3), epsilons=(0.1, 0.05), R=1.0, p=2.0,
+                alpha=1.0, gamma=1.0)
+    # each bad value sits in the last row or in a scalar of every row
+    for key, bad in (("modes", (2, 0)), ("modes", (2, 2.5)),
+                     ("epsilons", (0.1, math.nan)),
+                     ("epsilons", (0.1, 1.5)),      # max |u| >= 1
+                     ("R", -1.0), ("p", math.inf), ("alpha", 2.0),
+                     ("alpha", None), ("gamma", 0.0), ("gamma", "1")):
+        with pytest.raises(ValidationError):
+            fug.deficit_report(g, **{**good, key: bad})

@@ -4,6 +4,10 @@ import dataclasses
 import decimal
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,18 @@ def test_grid_weights_sum_to_sphere_area():
     assert abs(make_grid(3, 32).weights.sum() - 4 * math.pi) <= 1e-10
     assert sphere_area(2) == pytest.approx(2 * math.pi, abs=1e-14)
     assert sphere_area(3) == pytest.approx(4 * math.pi, abs=1e-14)
+
+
+def test_importing_the_package_leaves_scipy_interpolate_unloaded():
+    # StarShape.spline imports it when a d=2 shape first builds one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, isoshape; print('scipy.interpolate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 def test_grid_nodes_unit_length():

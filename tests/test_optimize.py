@@ -306,6 +306,8 @@ def test_critical_exponent_values():
         critical_exponent(2, 2.5)
     with pytest.raises(ValidationError):
         critical_exponent(2, 0.0)
+    with pytest.raises(ValidationError):    # d outside {2, 3}
+        critical_exponent(4, 1.0)
 
 
 def test_scaling_maps_round_trip():
@@ -556,6 +558,21 @@ def test_sweep_gamma_catches_only_package_errors(monkeypatch):
     monkeypatch.setattr(opt, "minimize", warm_bug)
     with pytest.raises(TypeError):
         sweep_gamma([0.1, 0.2], params, grid)
+
+
+def test_sweep_gamma_validates_before_minimizing(monkeypatch):
+    import isoshape.optimize as opt
+
+    def no_descent(init, p, opts):
+        raise AssertionError("a descent ran before validation")
+
+    monkeypatch.setattr(opt, "minimize", no_descent)
+    grid = make_grid(2, 16)
+    params = EnergyParams(d=2, p=2.0, alpha=1.0)
+    for bad in ([0.1, 1.0, math.nan], [0.1, 1.0, math.inf], [0.1, None],
+                [0.1, "1"], [0.1, True], [0.1, 1.0, 0.5], None):
+        with pytest.raises(ValidationError):
+            sweep_gamma(bad, params, grid)
 
 
 def test_sweep_builds_the_h1_operator_once_per_grid(monkeypatch):

@@ -484,6 +484,16 @@ def test_en_lower_bound_expansion():
         check_en_lower_bound(1e-4, 0.0, 2)
 
 
+def test_run_all_checks_validates_before_checking(monkeypatch):
+    def no_corpus(**kwargs):
+        raise AssertionError("a corpus ran before validation")
+
+    monkeypatch.setattr(OR, "run_raster_agreement", no_corpus)
+    for seed in (-1, 1.5, math.nan, None, "0", True):
+        with pytest.raises(ValidationError):
+            OR.run_all_checks(seed=seed)
+
+
 def test_random_star_contract():
     rng = np.random.default_rng(5)
     from isoshape.geometry import volume
